@@ -21,7 +21,8 @@
 //!   gains `containment` and `ota_wave` aggregate sections.
 //! * `--fault-permille N`, `--ota-permille N`, `--ota-corrupt-permille N`,
 //!   `--ota-max-retries N` and `--step-budget N` set the campaign knobs
-//!   individually on any scenario.
+//!   individually on any scenario.  A per-mille value outside 0..=1000,
+//!   or any number that does not fit its knob's type, exits 2.
 //! * `--store-cap-bytes N` bounds the on-disk store (least-recently-used
 //!   images evicted first); requires `--store`.  Contradictory flag
 //!   combinations (`--store --no-store`, `--paranoid --no-store`,
@@ -54,11 +55,7 @@
 //!   check elision — outcome-identical, fewer retired instructions.
 //!   `--elide-checks` conflicts with `--linear`: the linear oracle is the
 //!   unelided reference baseline, so eliding it would benchmark the
-//!   optimisation against itself (exit 2).  `--fuse` deploys images with
-//!   the superinstruction pass applied — byte-identical on disk (fusion
-//!   is derived state, re-applied after decode), identical outcomes,
-//!   faster dispatch.  It conflicts with `--linear` for the same reason
-//!   `--elide-checks` does (exit 2).
+//!   optimisation against itself (exit 2).
 
 use amulet_bench::fleet_sim::{
     containment_json, ota_wave_json, render_document, render_document_with, store_stats_json,
@@ -76,7 +73,7 @@ const USAGE: &str = "usage: fleet_sim [devices] [workers] [events_per_device] [s
      [--silent-permille N] [--preset scaling|storm] [--fault-permille N] [--ota-permille N] \
      [--ota-corrupt-permille N] [--ota-max-retries N] [--step-budget N] [--summary] [--linear] \
      [--no-write] [--scaling] [--store DIR] [--no-store] [--paranoid] [--store-cap-bytes N] \
-     [--report-out FILE] [--verify] [--elide-checks] [--fuse]";
+     [--report-out FILE] [--verify] [--elide-checks]";
 
 /// Everything the command line can ask for, before it is resolved into a
 /// scenario.
@@ -107,7 +104,6 @@ struct Cli {
     report_out: Option<PathBuf>,
     verify: bool,
     elide_checks: bool,
-    fuse: bool,
 }
 
 fn fail(msg: &str) -> ! {
@@ -133,33 +129,24 @@ fn parse(args: impl Iterator<Item = String>) -> Cli {
     };
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--devices" => cli.devices = Some(parse_num(&value("--devices", &mut it))),
-            "--workers" => cli.workers = Some(parse_num(&value("--workers", &mut it))),
-            "--events" => cli.events = Some(parse_num(&value("--events", &mut it))),
-            "--seed" => cli.seed = Some(parse_num(&value("--seed", &mut it)) as u64),
-            "--mode" => cli.mode = Some(parse_mode(&value("--mode", &mut it))),
+            "--devices" => cli.devices = Some(parse_num(&a, &value(&a, &mut it))),
+            "--workers" => cli.workers = Some(parse_num(&a, &value(&a, &mut it))),
+            "--events" => cli.events = Some(parse_num(&a, &value(&a, &mut it))),
+            "--seed" => cli.seed = Some(parse_num(&a, &value(&a, &mut it))),
+            "--mode" => cli.mode = Some(parse_mode(&value(&a, &mut it))),
             "--silent-permille" => {
-                cli.silent_permille = Some(parse_num(&value("--silent-permille", &mut it)) as u16)
+                cli.silent_permille = Some(parse_permille(&a, &value(&a, &mut it)))
             }
             "--fault-permille" => {
-                cli.fault_permille = Some(parse_num(&value("--fault-permille", &mut it)) as u16)
+                cli.fault_permille = Some(parse_permille(&a, &value(&a, &mut it)))
             }
-            "--ota-permille" => {
-                cli.ota_permille = Some(parse_num(&value("--ota-permille", &mut it)) as u16)
-            }
+            "--ota-permille" => cli.ota_permille = Some(parse_permille(&a, &value(&a, &mut it))),
             "--ota-corrupt-permille" => {
-                cli.ota_corrupt_permille =
-                    Some(parse_num(&value("--ota-corrupt-permille", &mut it)) as u16)
+                cli.ota_corrupt_permille = Some(parse_permille(&a, &value(&a, &mut it)))
             }
-            "--ota-max-retries" => {
-                cli.ota_max_retries = Some(parse_num(&value("--ota-max-retries", &mut it)) as u32)
-            }
-            "--step-budget" => {
-                cli.step_budget = Some(parse_num(&value("--step-budget", &mut it)) as u64)
-            }
-            "--store-cap-bytes" => {
-                cli.store_cap_bytes = Some(parse_num(&value("--store-cap-bytes", &mut it)) as u64)
-            }
+            "--ota-max-retries" => cli.ota_max_retries = Some(parse_num(&a, &value(&a, &mut it))),
+            "--step-budget" => cli.step_budget = Some(parse_num(&a, &value(&a, &mut it))),
+            "--store-cap-bytes" => cli.store_cap_bytes = Some(parse_num(&a, &value(&a, &mut it))),
             "--preset" => match value("--preset", &mut it).as_str() {
                 "scaling" => cli.preset_scaling = true,
                 "storm" => cli.preset_storm = true,
@@ -176,15 +163,14 @@ fn parse(args: impl Iterator<Item = String>) -> Cli {
             "--report-out" => cli.report_out = Some(PathBuf::from(value("--report-out", &mut it))),
             "--verify" => cli.verify = true,
             "--elide-checks" => cli.elide_checks = true,
-            "--fuse" => cli.fuse = true,
             flag if flag.starts_with("--") => fail(&format!("unknown flag {flag:?}")),
             word => {
                 // Positional compatibility: devices, workers, events, seed,
                 // then the mode word.
                 match (positional, word.parse::<u64>()) {
-                    (0, Ok(n)) => cli.devices = Some(n as usize),
-                    (1, Ok(n)) => cli.workers = Some(n as usize),
-                    (2, Ok(n)) => cli.events = Some(n as usize),
+                    (0, Ok(_)) => cli.devices = Some(parse_num("devices", word)),
+                    (1, Ok(_)) => cli.workers = Some(parse_num("workers", word)),
+                    (2, Ok(_)) => cli.events = Some(parse_num("events", word)),
                     (3, Ok(n)) => cli.seed = Some(n),
                     (_, Ok(_)) => fail(&format!("unexpected trailing argument {word:?}")),
                     (_, Err(_)) if cli.mode.is_none() => cli.mode = Some(parse_mode(word)),
@@ -199,9 +185,20 @@ fn parse(args: impl Iterator<Item = String>) -> Cli {
     cli
 }
 
-fn parse_num(s: &str) -> usize {
+/// Parses `flag`'s value straight into its target type: a value that is
+/// not a number, or does not fit the type, exits 2 instead of wrapping.
+fn parse_num<T: std::str::FromStr>(flag: &str, s: &str) -> T {
     s.parse()
-        .unwrap_or_else(|_| fail(&format!("not a number: {s:?}")))
+        .unwrap_or_else(|_| fail(&format!("{flag}: not a number that fits: {s:?}")))
+}
+
+/// A per-mille rate: anything outside `0..=1000` exits 2.
+fn parse_permille(flag: &str, s: &str) -> u16 {
+    let p = parse_num(flag, s);
+    if p > 1000 {
+        fail(&format!("{flag}: {p} is outside 0..=1000"));
+    }
+    p
 }
 
 /// Rejects contradictory flag combinations up front (exit 2 with usage)
@@ -231,12 +228,6 @@ fn validate(cli: &Cli) {
     if cli.elide_checks && cli.linear {
         fail(
             "--elide-checks and --linear conflict: the linear oracle is the unelided \
-             reference baseline",
-        );
-    }
-    if cli.fuse && cli.linear {
-        fail(
-            "--fuse and --linear conflict: the linear oracle is the unfused \
              reference baseline",
         );
     }
@@ -287,7 +278,6 @@ fn scenario_from(cli: &Cli) -> (FleetScenario, usize) {
     scenario.store_cap_bytes = cli.store_cap_bytes;
     scenario.verify = cli.verify;
     scenario.elide_checks = cli.elide_checks;
-    scenario.fuse = cli.fuse;
     let workers = cli.workers.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())

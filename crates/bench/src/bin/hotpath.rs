@@ -1,18 +1,14 @@
 //! Hot-path bench: instruction-execution microbench (attribute cache on vs
-//! off), fleet devices/second, the check-elision comparison (the
-//! Software-Only catalogue with and without verifier-certified checks)
-//! and the superinstruction-fusion comparison (fused vs unfused
-//! dispatch), emitted as `BENCH_hotpath.json` — both on stdout and to
-//! the file.
+//! off), fleet devices/second, and the check-elision comparison (the
+//! Software-Only catalogue with and without verifier-certified checks),
+//! emitted as `BENCH_hotpath.json` — both on stdout and to the file.
 //!
 //! Usage: `cargo run -p amulet-bench --bin hotpath --release
 //! [instructions] [fleet_devices] [fleet_events] [fleet_workers]
-//! [elision_rounds] [min_fusion_speedup_percent]`
+//! [elision_rounds]`
 //! (defaults: 20 M instructions, 1000 devices, 120 events, 1 worker — the
-//! same shape as the recorded pre-optimisation baseline — 2000 elision
-//! rounds, and no fusion gate).  A non-zero final argument makes the run
-//! fail unless fused dispatch beats unfused by at least that percentage
-//! on the check-heavy microbench (CI passes 150).
+//! same shape as the recorded pre-optimisation baseline — and 2000
+//! elision rounds).
 
 use amulet_bench::hotpath;
 
@@ -24,7 +20,6 @@ fn main() {
     let fleet_events = arg(hotpath::BASELINE_FLEET_SCENARIO.1 as u64) as usize;
     let fleet_workers = arg(hotpath::BASELINE_FLEET_SCENARIO.2 as u64) as usize;
     let elision_rounds = arg(2000) as usize;
-    let min_fusion_speedup_percent = arg(0);
 
     assert!(
         hotpath::verify_equivalence(100_000),
@@ -39,37 +34,20 @@ fn main() {
         elision.outcomes_identical,
         "check elision changed a dynamic outcome; the numbers are untrustworthy"
     );
-    let fusion = hotpath::run_superinstruction(instructions, elision_rounds);
-    assert!(
-        fusion.outcomes_identical,
-        "superinstruction fusion changed a dynamic outcome; the numbers are untrustworthy"
-    );
-    if min_fusion_speedup_percent > 0 {
-        let floor = min_fusion_speedup_percent as f64 / 100.0;
-        if fusion.dispatch_speedup() < floor {
-            eprintln!(
-                "fused dispatch is only {:.2}x unfused on the check-heavy microbench \
-                 (gate: {floor:.2}x)",
-                fusion.dispatch_speedup()
-            );
-            std::process::exit(1);
-        }
-    }
 
-    let json = hotpath::render_json(&cached, &direct, &fleet, &elision, &fusion);
+    let json = hotpath::render_json(&cached, &direct, &fleet, &elision);
     print!("{json}");
     if let Err(e) = std::fs::write("BENCH_hotpath.json", &json) {
         eprintln!("warning: could not write BENCH_hotpath.json: {e}");
     } else {
         eprintln!(
-            "wrote BENCH_hotpath.json ({:.1} M instr/s cached, {:.1} M instr/s direct, {:.0} devices/s = {:.2}x baseline, elision -{:.1}% retired = {:.2}x workload, fusion {:.2}x dispatch)",
+            "wrote BENCH_hotpath.json ({:.1} M instr/s cached, {:.1} M instr/s direct, {:.0} devices/s = {:.2}x baseline, elision -{:.1}% retired = {:.2}x workload)",
             cached.instr_per_second / 1e6,
             direct.instr_per_second / 1e6,
             fleet.devices_per_second,
             fleet.devices_per_second / hotpath::BASELINE_FLEET_DEVICES_PER_SECOND,
             elision.instr_retired_drop_percent(),
             elision.workload_speedup(),
-            fusion.dispatch_speedup(),
         );
     }
 }

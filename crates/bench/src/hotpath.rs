@@ -16,12 +16,6 @@
 //!   pre-optimisation baseline measured at the commit this bench was
 //!   introduced, so the speedup is visible without digging through git
 //!   history.
-//! * **Superinstruction fusion** — the static adjacent-pair profile of
-//!   the Software-Only catalogue image (the evidence the fusion
-//!   candidate set is the hot set), the image's fusion report, a
-//!   check-heavy microbench measured through fused and unfused
-//!   dispatch, and the catalogue workload driven both ways with an
-//!   outcome-identity bit.
 
 use crate::json::Json;
 use amulet_aft::aft::Aft;
@@ -33,9 +27,8 @@ use amulet_mcu::code::InstrStore;
 use amulet_mcu::cpu::StepEvent;
 use amulet_mcu::device::{Device, StopReason};
 use amulet_mcu::firmware::Firmware;
-use amulet_mcu::isa::{AluOp, Cond, Instr, Reg, Width};
+use amulet_mcu::isa::{AluOp, Instr, Reg, Width};
 use amulet_mcu::mpu::{MPUCTL0, MPUSAM, MPUSEGB1, MPUSEGB2};
-use amulet_mcu::FuseReport;
 use amulet_os::events::{Event, EventKind};
 use amulet_os::os::AmuletOs;
 use std::time::Instant;
@@ -355,338 +348,6 @@ pub fn run_check_elision(rounds: usize) -> ElisionBench {
     }
 }
 
-/// One adjacent instruction pair and how often it occurs in the image.
-#[derive(Clone, Debug)]
-pub struct PairCount {
-    /// The pair, rendered `Head+Next` (e.g. `CmpImm+Jcc`).
-    pub pair: String,
-    /// Occurrences of the pair at adjacent addresses.
-    pub count: usize,
-    /// Whether the superinstruction pass matches a sequence headed by
-    /// this pair — the profile's hot pairs justify the candidate set.
-    pub fused_candidate: bool,
-}
-
-/// One dispatch-rate measurement of the superinstruction microbench.
-#[derive(Clone, Copy, Debug)]
-pub struct DispatchRate {
-    /// Instructions retired.
-    pub instructions: u64,
-    /// Wall-clock seconds.
-    pub wall_seconds: f64,
-    /// Simulated instructions per wall-clock second.
-    pub instr_per_second: f64,
-}
-
-/// The superinstruction-fusion measurement: the static pair profile that
-/// justifies the candidate set, the fusion report for the Software-Only
-/// catalogue image, the check-heavy dispatch microbench fused vs
-/// unfused, and the catalogue workload driven both ways.
-#[derive(Clone, Debug)]
-pub struct FusionBench {
-    /// Adjacent-pair frequency profile of the (unfused) Software-Only
-    /// catalogue image, hottest first.
-    pub pair_profile: Vec<PairCount>,
-    /// Instructions in the catalogue image the profile was taken from.
-    pub image_instructions: usize,
-    /// What fusing that image matched.
-    pub report: FuseReport,
-    /// The check-heavy microbench through unfused dispatch.
-    pub micro_unfused: DispatchRate,
-    /// The same loop through fused dispatch.
-    pub micro_fused: DispatchRate,
-    /// Event rounds driven through each catalogue image.
-    pub rounds: usize,
-    /// The unfused (oracle) catalogue run.
-    pub unfused: ElisionRun,
-    /// The fused catalogue run.
-    pub fused: ElisionRun,
-    /// Whether instructions, cycles, energy, faults, registers and log
-    /// agreed between every fused/unfused pair of runs — the fusion
-    /// soundness bit, asserted before the numbers are trusted.
-    pub outcomes_identical: bool,
-}
-
-impl FusionBench {
-    /// Instr/s ratio of fused over unfused dispatch on the check-heavy
-    /// microbench — the headline number the ISSUE's ≥2× bar is read
-    /// from.
-    pub fn dispatch_speedup(&self) -> f64 {
-        self.micro_fused.instr_per_second / self.micro_unfused.instr_per_second.max(1e-9)
-    }
-
-    /// Wall-clock speedup of the fused image on the catalogue workload.
-    pub fn workload_speedup(&self) -> f64 {
-        self.unfused.wall_seconds / self.fused.wall_seconds.max(1e-9)
-    }
-
-    /// Share of the image's instructions covered by fused sequences.
-    pub fn fused_share_percent(&self) -> f64 {
-        if self.image_instructions == 0 {
-            0.0
-        } else {
-            100.0 * self.report.fused_instructions as f64 / self.image_instructions as f64
-        }
-    }
-}
-
-/// Variant name used by the pair profile.
-fn mnemonic(i: &Instr) -> &'static str {
-    match i {
-        Instr::MovImm { .. } => "MovImm",
-        Instr::Mov { .. } => "Mov",
-        Instr::Load { .. } => "Load",
-        Instr::Store { .. } => "Store",
-        Instr::LoadAbs { .. } => "LoadAbs",
-        Instr::StoreAbs { .. } => "StoreAbs",
-        Instr::Push { .. } => "Push",
-        Instr::Pop { .. } => "Pop",
-        Instr::Alu { .. } => "Alu",
-        Instr::AluImm { .. } => "AluImm",
-        Instr::Unary { .. } => "Unary",
-        Instr::Cmp { .. } => "Cmp",
-        Instr::CmpImm { .. } => "CmpImm",
-        Instr::Jmp { .. } => "Jmp",
-        Instr::Jcc { .. } => "Jcc",
-        Instr::Br { .. } => "Br",
-        Instr::Call { .. } => "Call",
-        Instr::CallReg { .. } => "CallReg",
-        Instr::Ret => "Ret",
-        Instr::Syscall { .. } => "Syscall",
-        Instr::Fault { .. } => "Fault",
-        Instr::Halt => "Halt",
-        Instr::Nop => "Nop",
-        Instr::Elided { .. } => "Elided",
-    }
-}
-
-/// The sequence-head pairs the superinstruction pass matches (the
-/// `AddCheck` head is `AluImm+CmpImm`; `Check`/`Check2` head is
-/// `CmpImm+Jcc`).
-const FUSED_HEAD_PAIRS: [(&str, &str); 5] = [
-    ("CmpImm", "Jcc"),
-    ("AluImm", "CmpImm"),
-    ("Push", "Mov"),
-    ("Mov", "Pop"),
-    ("Elided", "Elided"),
-];
-
-/// Counts every address-adjacent instruction pair in `code`, hottest
-/// first (ties broken by name for determinism), truncated to the top
-/// `keep`.
-fn pair_profile(code: &InstrStore, keep: usize) -> Vec<PairCount> {
-    let items: Vec<(u32, Instr)> = code.iter().map(|(a, i)| (a, *i)).collect();
-    let mut counts = std::collections::BTreeMap::<(&str, &str), usize>::new();
-    for w in items.windows(2) {
-        let ((a0, i0), (a1, i1)) = (w[0], w[1]);
-        if a0 + i0.size_bytes() == a1 {
-            *counts.entry((mnemonic(&i0), mnemonic(&i1))).or_default() += 1;
-        }
-    }
-    let mut profile: Vec<PairCount> = counts
-        .into_iter()
-        .map(|((head, next), count)| PairCount {
-            pair: format!("{head}+{next}"),
-            count,
-            fused_candidate: FUSED_HEAD_PAIRS.contains(&(head, next)),
-        })
-        .collect();
-    profile.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.pair.cmp(&b.pair)));
-    profile.truncate(keep);
-    profile
-}
-
-/// Builds the superinstruction microbench device: the Software-Only
-/// check idiom in a tight loop — two fused double checks (the emitted
-/// lower+upper data-pointer pair, twice) and one fused
-/// add-then-check-bounds triple per iteration, so nearly every retired
-/// instruction flows through a superinstruction slot when fusion is on
-/// and through ordinary one-at-a-time dispatch when it is off.
-fn fusion_microbench_device() -> (Device, InstrStore) {
-    let mut dev = Device::msp430fr5969();
-    let mut code = InstrStore::new();
-    let fault = 0x4500;
-    let body: [(u32, Instr); 15] = [
-        (
-            0x4400,
-            Instr::MovImm {
-                dst: Reg::R14,
-                imm: 0x1C00,
-            },
-        ),
-        (
-            0x4404,
-            Instr::MovImm {
-                dst: Reg::R4,
-                imm: 0,
-            },
-        ),
-        // loop: the emitted data-pointer lower+upper pair, twice over.
-        (
-            0x4408,
-            Instr::CmpImm {
-                a: Reg::R14,
-                imm: 0x1C00,
-            },
-        ),
-        (
-            0x440C,
-            Instr::Jcc {
-                cond: Cond::Lo,
-                target: fault as u16,
-            },
-        ),
-        (
-            0x4410,
-            Instr::CmpImm {
-                a: Reg::R14,
-                imm: 0x2400,
-            },
-        ),
-        (
-            0x4414,
-            Instr::Jcc {
-                cond: Cond::Hs,
-                target: fault as u16,
-            },
-        ),
-        (
-            0x4418,
-            Instr::CmpImm {
-                a: Reg::R14,
-                imm: 0x1C00,
-            },
-        ),
-        (
-            0x441C,
-            Instr::Jcc {
-                cond: Cond::Lo,
-                target: fault as u16,
-            },
-        ),
-        (
-            0x4420,
-            Instr::CmpImm {
-                a: Reg::R14,
-                imm: 0x2400,
-            },
-        ),
-        (
-            0x4424,
-            Instr::Jcc {
-                cond: Cond::Hs,
-                target: fault as u16,
-            },
-        ),
-        // Loop bookkeeping: add-then-check-bounds, branch back taken.
-        (
-            0x4428,
-            Instr::AluImm {
-                op: AluOp::Add,
-                dst: Reg::R4,
-                imm: 1,
-            },
-        ),
-        (
-            0x442C,
-            Instr::CmpImm {
-                a: Reg::R4,
-                imm: 0xFFFF,
-            },
-        ),
-        (
-            0x4430,
-            Instr::Jcc {
-                cond: Cond::Lo,
-                target: 0x4408,
-            },
-        ),
-        (0x4434, Instr::Jmp { target: 0x4404 }),
-        (fault, Instr::Halt),
-    ];
-    for (addr, i) in body {
-        code.insert(addr, i);
-    }
-    dev.cpu.set_pc(0x4400);
-    dev.cpu.set_sp(0x2400);
-    (dev, code)
-}
-
-/// Runs the check loop for `steps` instructions through fused or
-/// unfused dispatch and reports the rate plus the outcome fingerprint
-/// the soundness bit compares.
-fn run_fusion_micro(steps: u64, fuse: bool) -> (DispatchRate, (u64, u64, u16, u16, u64)) {
-    let (mut dev, mut code) = fusion_microbench_device();
-    if fuse {
-        let report = code.fuse();
-        assert!(report.sequences > 0, "the check loop must fuse");
-    }
-    dev.code = std::sync::Arc::new(code);
-    assert!(dev.bus.check_execute(0x4400).is_ok());
-    let started = Instant::now();
-    let exit = dev.run(steps);
-    let wall = started.elapsed().as_secs_f64();
-    assert_eq!(exit.reason, StopReason::StepLimit, "loop must not fault");
-    assert_eq!(exit.steps, steps);
-    (
-        DispatchRate {
-            instructions: dev.cpu.stats.instructions,
-            wall_seconds: wall,
-            instr_per_second: dev.cpu.stats.instructions as f64 / wall.max(1e-9),
-        },
-        (
-            dev.cpu.stats.instructions,
-            dev.cpu.cycles,
-            dev.cpu.reg(Reg::R4),
-            dev.cpu.reg(Reg::R14),
-            dev.bus.timer.raw_cycles(),
-        ),
-    )
-}
-
-/// Runs the superinstruction bench: profiles the Software-Only
-/// catalogue image's adjacent pairs, fuses it, measures the check-heavy
-/// microbench through both dispatch paths for `steps` instructions, and
-/// drives the catalogue for `rounds` event rounds on the unfused and
-/// the fused image.
-pub fn run_superinstruction(steps: u64, rounds: usize) -> FusionBench {
-    let mut aft = Aft::new(IsolationMethod::SoftwareOnly);
-    for app in amulet_apps::catalog() {
-        aft = aft.add_app(app.app_source());
-    }
-    let out = aft
-        .build()
-        .unwrap_or_else(|e| panic!("Software-Only catalogue build: {e}"));
-    let unfused_fw = out.firmware;
-    let mut fused_fw = unfused_fw.clone();
-    let report = fused_fw.fuse();
-    let image_instructions = unfused_fw.code.iter().count();
-    let profile = pair_profile(&unfused_fw.code, 16);
-
-    let (micro_unfused, base_fp) = run_fusion_micro(steps, false);
-    let (micro_fused, fast_fp) = run_fusion_micro(steps, true);
-
-    let (unfused, base_log) = drive_catalogue(&unfused_fw, rounds);
-    let (fused, fast_log) = drive_catalogue(&fused_fw, rounds);
-    let outcomes_identical = base_fp == fast_fp
-        && unfused.instructions == fused.instructions
-        && unfused.total_cycles == fused.total_cycles
-        && unfused.energy_joules == fused.energy_joules
-        && unfused.faults == fused.faults
-        && base_log == fast_log;
-    FusionBench {
-        pair_profile: profile,
-        image_instructions,
-        report,
-        micro_unfused,
-        micro_fused,
-        rounds,
-        unfused,
-        fused,
-        outcomes_identical,
-    }
-}
-
 /// Runs a fleet scenario and reports wall-clock throughput.
 pub fn run_fleet(devices: usize, events_per_device: usize, workers: usize) -> FleetThroughput {
     let scenario = FleetScenario {
@@ -713,7 +374,6 @@ pub fn render_json(
     micro_direct: &MicrobenchResult,
     fleet: &FleetThroughput,
     elision: &ElisionBench,
-    fusion: &FusionBench,
 ) -> String {
     let elision_run = |r: &ElisionRun| {
         Json::obj()
@@ -807,64 +467,6 @@ pub fn render_json(
                 .field("workload_speedup", elision.workload_speedup())
                 .field("outcomes_identical", elision.outcomes_identical),
         )
-        .field("superinstruction", {
-            let rate = |r: &DispatchRate| {
-                Json::obj()
-                    .field("instructions", r.instructions)
-                    .field("wall_seconds", r.wall_seconds)
-                    .field("instr_per_second", r.instr_per_second)
-            };
-            Json::obj()
-                .field(
-                    "pair_profile",
-                    fusion
-                        .pair_profile
-                        .iter()
-                        .map(|p| {
-                            Json::obj()
-                                .field("pair", p.pair.as_str())
-                                .field("count", p.count)
-                                .field("fused_candidate", p.fused_candidate)
-                        })
-                        .collect::<Vec<_>>(),
-                )
-                .field(
-                    "fuse_report",
-                    Json::obj()
-                        .field("image_instructions", fusion.image_instructions)
-                        .field("sequences", fusion.report.sequences)
-                        .field("fused_instructions", fusion.report.fused_instructions)
-                        .field("fused_share_percent", fusion.fused_share_percent())
-                        .field("checks", fusion.report.checks)
-                        .field("double_checks", fusion.report.double_checks)
-                        .field("add_checks", fusion.report.add_checks)
-                        .field("prologues", fusion.report.prologues)
-                        .field("epilogues", fusion.report.epilogues)
-                        .field("elided_pairs", fusion.report.elided_pairs),
-                )
-                .field(
-                    "microbench",
-                    Json::obj()
-                        .field(
-                            "workload",
-                            "Software-Only check idiom: two double checks + \
-                             add-then-check-bounds per iteration",
-                        )
-                        .field("unfused", rate(&fusion.micro_unfused))
-                        .field("fused", rate(&fusion.micro_fused))
-                        .field("dispatch_speedup", fusion.dispatch_speedup()),
-                )
-                .field(
-                    "catalogue",
-                    Json::obj()
-                        .field("workload", "Software-Only catalogue, dominant handlers")
-                        .field("rounds", fusion.rounds)
-                        .field("unfused", elision_run(&fusion.unfused))
-                        .field("fused", elision_run(&fusion.fused))
-                        .field("workload_speedup", fusion.workload_speedup()),
-                )
-                .field("outcomes_identical", fusion.outcomes_identical)
-        })
         .render()
 }
 
@@ -892,8 +494,7 @@ mod tests {
         let direct = run_microbench(1_000, false);
         let fleet = run_fleet(8, 10, 1);
         let elision = run_check_elision(3);
-        let fusion = run_superinstruction(50_000, 2);
-        let text = render_json(&micro, &direct, &fleet, &elision, &fusion);
+        let text = render_json(&micro, &direct, &fleet, &elision);
         for needle in [
             "\"bench\": \"hotpath\"",
             "\"baseline\"",
@@ -903,10 +504,6 @@ mod tests {
             "\"elided_checks_per_profile\"",
             "\"instr_retired_drop_percent\"",
             "\"outcomes_identical\": true",
-            "\"superinstruction\"",
-            "\"pair_profile\"",
-            "\"fuse_report\"",
-            "\"dispatch_speedup\"",
         ] {
             assert!(text.contains(needle), "missing {needle}");
         }
@@ -926,41 +523,8 @@ mod tests {
             wall_seconds: 1.0,
             devices_per_second: devices as f64,
         };
-        let text = render_json(&micro, &direct, &baseline_shaped, &elision, &fusion);
+        let text = render_json(&micro, &direct, &baseline_shaped, &elision);
         assert!(text.contains("\"speedup_vs_baseline\":"));
-    }
-
-    #[test]
-    fn superinstruction_fusion_is_sound_on_micro_and_catalogue() {
-        let bench = run_superinstruction(100_000, 3);
-        assert!(bench.outcomes_identical, "fusion changed an outcome");
-        // The Software-Only catalogue image is check-dominated, so the
-        // hottest adjacent pair must itself be a fusion candidate and
-        // the check pair must head the candidate hits.
-        assert!(
-            bench.pair_profile[0].fused_candidate,
-            "hottest pair {} is not in the candidate set",
-            bench.pair_profile[0].pair
-        );
-        let check_pair = bench
-            .pair_profile
-            .iter()
-            .find(|p| p.pair == "CmpImm+Jcc")
-            .expect("the check pair shows up in the profile");
-        assert!(check_pair.fused_candidate && check_pair.count > 0);
-        assert!(bench.report.sequences > 0 && bench.report.double_checks > 0);
-        assert!(bench.report.prologues > 0 && bench.report.epilogues > 0);
-        assert!(
-            bench.fused_share_percent() > 10.0,
-            "fusion must cover a real share"
-        );
-        // Fusion never changes what retires — only how fast it retires.
-        assert_eq!(bench.unfused.instructions, bench.fused.instructions);
-        assert_eq!(bench.unfused.total_cycles, bench.fused.total_cycles);
-        assert_eq!(
-            bench.micro_unfused.instructions,
-            bench.micro_fused.instructions
-        );
     }
 
     #[test]

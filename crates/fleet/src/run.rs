@@ -429,10 +429,7 @@ pub(crate) fn simulate_device(
 /// the amulet-verify gate must certify the build free of proven-escape
 /// accesses before the image may enter the fleet, and with
 /// [`DeviceConfig::elide`] the image is rewritten through check elision
-/// (redundant software checks replaced by cycle-neutral fillers).  With
-/// [`DeviceConfig::fuse`] the finished image (elided or not) gets the
-/// superinstruction fusion pass — derived dispatch state only, so the
-/// encoded image and its store key are unchanged.
+/// (redundant software checks replaced by cycle-neutral fillers).
 pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig) -> Arc<Firmware> {
     let mut aft = Aft::for_platform(cfg.method, &cfg.platform);
     for app in &cfg.apps {
@@ -448,15 +445,10 @@ pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig) -> Arc<Firmware> {
             "fleet verify gate refused firmware {key}:\n{report}"
         );
     }
-    let mut firmware = if cfg.elide {
-        amulet_verify::elide_checks(&out).firmware
-    } else {
-        out.firmware
-    };
-    if cfg.fuse {
-        firmware.fuse();
+    if cfg.elide {
+        return Arc::new(amulet_verify::elide_checks(&out).firmware);
     }
-    Arc::new(firmware)
+    Arc::new(out.firmware)
 }
 
 /// Fans `items` out across up to `workers` scoped threads in contiguous

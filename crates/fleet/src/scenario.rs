@@ -135,13 +135,6 @@ pub struct FleetScenario {
     /// cycle/energy numbers while retiring fewer instructions.
     /// Draw-free, like [`FleetScenario::verify`].
     pub elide_checks: bool,
-    /// Run the superinstruction fusion pass over every deployed image
-    /// (after elision when both are armed).  Fusion is derived dispatch
-    /// state: images encode to identical bytes and keep their store keys,
-    /// and fleets report byte-identical outcomes — the knob only changes
-    /// how fast the interpreter retires the check-heavy hot paths.
-    /// Draw-free, like [`FleetScenario::verify`].
-    pub fuse: bool,
 }
 
 impl Default for FleetScenario {
@@ -173,7 +166,6 @@ impl Default for FleetScenario {
             store_cap_bytes: None,
             verify: false,
             elide_checks: false,
-            fuse: false,
         }
     }
 }
@@ -210,11 +202,6 @@ pub struct DeviceConfig {
     /// Whether the firmware image is rewritten through check elision
     /// (copied from [`FleetScenario::elide_checks`]).
     pub elide: bool,
-    /// Whether the built image gets the superinstruction fusion pass
-    /// (copied from [`FleetScenario::fuse`]).  Unlike elision this is
-    /// derived state — fused images encode to the same bytes, so
-    /// [`DeviceConfig::firmware_key`] carries no marker for it.
-    pub fuse: bool,
 }
 
 impl DeviceConfig {
@@ -377,7 +364,6 @@ impl FleetScenario {
             // for bit identically with or without them.
             verify: self.verify,
             elide: self.elide_checks,
-            fuse: self.fuse,
         }
     }
 

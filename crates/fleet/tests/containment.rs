@@ -252,43 +252,6 @@ fn check_elision_changes_no_storm_outcome() {
 }
 
 #[test]
-fn superinstruction_fusion_changes_no_storm_outcome() {
-    // Fusion is sound exactly when it is invisible to every dynamic
-    // outcome: a fused fleet must report bit-identical containment,
-    // OTA, energy and cycle aggregates — the knob only changes how fast
-    // the interpreter retires the sequences.  Also exercised composed
-    // with elision, since fused `ElidedPair` slots are how the two
-    // passes interact.
-    let base = FleetScenario::storm(120);
-    let fused = FleetScenario {
-        fuse: true,
-        ..base.clone()
-    };
-    let both = FleetScenario {
-        fuse: true,
-        elide_checks: true,
-        ..base.clone()
-    };
-    let elided = FleetScenario {
-        elide_checks: true,
-        ..base.clone()
-    };
-    let a = simulate_summary(&base, 4);
-    let b = simulate_summary(&fused, 4);
-    assert_eq!(a.aggregate, b.aggregate, "fusion must be outcome-neutral");
-    let c = simulate_summary(&elided, 4);
-    let d = simulate_summary(&both, 4);
-    assert_eq!(
-        c.aggregate, d.aggregate,
-        "fusion over elided images must be outcome-neutral too"
-    );
-    assert!(
-        !a.aggregate.containment.is_empty(),
-        "the comparison covered armed probes"
-    );
-}
-
-#[test]
 fn static_verifier_cross_validates_the_dynamic_matrix() {
     // Soundness criterion from the matrix above: an app whose probe
     // dynamically escaped (or was caught) may never verify with its

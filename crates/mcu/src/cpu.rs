@@ -9,7 +9,7 @@
 use crate::bus::{Bus, BusFault, BusFaultCause};
 use crate::code;
 use crate::code::InstrStore;
-use crate::isa::{AluOp, Cond, Instr, Reg, SuperOp, UnaryOp, Width};
+use crate::isa::{AluOp, Cond, Instr, Reg, UnaryOp, Width};
 use amulet_core::addr::Addr;
 use amulet_core::fault::FaultClass;
 use std::fmt;
@@ -285,7 +285,11 @@ impl Cpu {
     }
 
     /// Executes up to `max_steps` instructions as one block — the hot loop
-    /// behind [`crate::device::Device::run`].
+    /// behind [`crate::device::Device::run`], and the simulator's only
+    /// execution path: every instruction is fetched, permission-checked
+    /// and executed one at a time.  [`Cpu::step`] is this loop with a
+    /// budget of one, which makes it the oracle any partition of a run
+    /// into blocks must agree with.
     ///
     /// Per-step work is minimal by construction: the instruction table is
     /// resolved once for the whole block, each fetch is a single masked
@@ -304,7 +308,6 @@ impl Cpu {
         max_steps: u64,
     ) -> (Option<StepEvent>, u64) {
         let table = code.table();
-        let fused = code.fused();
         let mut steps: u64 = 0;
         let mut instructions: u64 = 0;
         let mut cycles: u64 = 0;
@@ -313,38 +316,8 @@ impl Cpu {
             if steps >= max_steps {
                 break None;
             }
-            let pc = self.pc();
-            // Fused fast path: when the store was fused and this address
-            // heads a superinstruction, dispatch the whole sequence in one
-            // call — unless the step budget cannot cover every component,
-            // or a component's execute probe declines, in which case the
-            // head executes unfused below so that any partition of a run
-            // into blocks retires the identical instruction sequence.
-            if let Some((heads, ops)) = fused {
-                let fi = heads[((pc >> 1) as usize) & (code::SLOT_COUNT - 1)];
-                if fi != 0 {
-                    let op = &ops[(fi - 1) as usize];
-                    if max_steps - steps >= op.components() {
-                        match self.run_super(
-                            bus,
-                            op,
-                            pc,
-                            &mut steps,
-                            &mut instructions,
-                            &mut cycles,
-                            &mut data_accesses,
-                        ) {
-                            Some(Flow::Next(new_pc)) => {
-                                self.set_pc(new_pc);
-                                continue;
-                            }
-                            Some(Flow::Stop(ev)) => break Some(ev),
-                            None => {}
-                        }
-                    }
-                }
-            }
             steps += 1;
+            let pc = self.pc();
             if let Err(fault) = bus.check_execute(pc) {
                 break Some(self.bus_fault_to_event(pc, fault));
             }
@@ -383,206 +356,6 @@ impl Cpu {
         self.cycles += cycles;
         self.stats.data_accesses += data_accesses;
         (stop, steps)
-    }
-
-    /// Executes one fused superinstruction sequence.  Component by component
-    /// this retires exactly what the unfused loop would — the same steps,
-    /// instructions, cycles, data accesses, execute checks and timer ticks —
-    /// but the dispatch `match` runs once per sequence instead of once per
-    /// instruction, the counters accumulate in locals flushed at sequence
-    /// exit, and the per-component execute checks collapse into one probe
-    /// pass plus a batched `exec_checks` charge.
-    ///
-    /// The probe pass asks [`Bus::exec_allowed_fast`] — the non-counting
-    /// equivalent of the fast path inside [`Bus::check_execute`] — for every
-    /// component head up front.  Within a sequence only a data-memory access
-    /// could disturb permissions, and the attribute table ignores data
-    /// traffic entirely (MPU *register* writes bump its epoch, and those are
-    /// memory-mapped writes a probe-passing sequence performs only through
-    /// `push`/`pop`, whose targets the table does not gate execution on
-    /// until the next table resolve — which cannot happen mid-sequence), so
-    /// probing early returns exactly what probing at each component boundary
-    /// would.  Any declined probe — fault, cache off, external MPU, slow
-    /// region — returns `None` and the head retires through the exact
-    /// per-instruction path below, which owns all of those semantics.
-    ///
-    /// `exec_checks` accounting stays exact because the unfused loop charges
-    /// one check per *retired* component (taken branches retire too): each
-    /// arm batches the charge for precisely the components that are
-    /// guaranteed to retire once the probe has passed, and a component after
-    /// a memory fault (which ends the sequence) is never charged.
-    ///
-    /// Timer exactness: [`crate::timer::Timer::tick`] only accumulates while
-    /// the timer is running, and within a sequence only a data-memory access
-    /// can change that state (or observe the counter), so deferred ticks are
-    /// flushed before every memory-touching component, before any control
-    /// transfer out of the sequence, and at sequence end.  Sequences never
-    /// contain components that read or write `PC` as a general register
-    /// (`match_super` refuses them), so deferring the per-component
-    /// `set_pc` to sequence end is invisible too.
-    #[allow(clippy::too_many_arguments)]
-    fn run_super(
-        &mut self,
-        bus: &mut Bus,
-        op: &SuperOp,
-        pc: Addr,
-        steps: &mut u64,
-        instructions: &mut u64,
-        cycles: &mut u64,
-        data_accesses: &mut u64,
-    ) -> Option<Flow> {
-        // Probe every component head in one table resolve (offsets are
-        // the components' encoded sizes; store addresses are always even,
-        // so the misaligned arm of `check_execute` is unreachable here,
-        // and the fuse pass matched a real instruction at every offset,
-        // so none of them leaves the 16-bit space).
-        let ok = match *op {
-            SuperOp::Check(_) => bus.exec_allowed_fast(pc, [0, 4]),
-            SuperOp::Check2(..) => bus.exec_allowed_fast(pc, [0, 4, 8, 12]),
-            SuperOp::AddCheck { .. } => bus.exec_allowed_fast(pc, [0, 4, 8]),
-            SuperOp::PushMov { .. } | SuperOp::MovPop { .. } => bus.exec_allowed_fast(pc, [0, 2]),
-            SuperOp::ElidedPair { w1, .. } => bus.exec_allowed_fast(pc, [0, 2 * u32::from(w1)]),
-        };
-        if !ok {
-            return None;
-        }
-
-        let mut at = pc;
-        let mut pending: u64 = 0;
-        let (mut d_steps, mut d_instr, mut d_cycles, mut d_data) = (0u64, 0u64, 0u64, 0u64);
-
-        // Flushes the local counters into the block's, and the deferred
-        // cycles into the timer; runs before every exit from the sequence.
-        macro_rules! flush {
-            () => {
-                *steps += d_steps;
-                *instructions += d_instr;
-                *cycles += d_cycles;
-                *data_accesses += d_data;
-                bus.timer.tick(pending);
-            };
-        }
-        // A retired pure component: counters plus a deferred timer tick.
-        macro_rules! pure {
-            ($bytes:expr, $cyc:expr) => {
-                d_steps += 1;
-                d_instr += 1;
-                d_cycles += $cyc;
-                pending += $cyc;
-                at += $bytes;
-            };
-        }
-        // The `CmpImm` of a check pair.
-        macro_rules! cmp_imm {
-            ($cb:expr) => {
-                let x = self.reg($cb.a);
-                let r = x.wrapping_sub($cb.imm);
-                self.set_flags_sub(x, $cb.imm, r);
-                pure!(4, 2);
-            };
-        }
-        // The `Jcc` of a check pair: a taken branch leaves the sequence,
-        // so it flushes the deferred state (its own tick included) first.
-        macro_rules! branch {
-            ($cb:expr) => {
-                d_steps += 1;
-                d_instr += 1;
-                d_cycles += 2;
-                pending += 2;
-                if self.cond_holds($cb.cond) {
-                    flush!();
-                    return Some(Flow::Next($cb.target as Addr));
-                }
-                at += 4;
-            };
-        }
-
-        match *op {
-            SuperOp::Check(cb) => {
-                bus.stats.exec_checks += 2;
-                cmp_imm!(cb);
-                branch!(cb);
-            }
-            SuperOp::Check2(cb1, cb2) => {
-                bus.stats.exec_checks += 2;
-                cmp_imm!(cb1);
-                branch!(cb1);
-                // The second pair's checks are charged only once the first
-                // branch has fallen through — a taken first branch never
-                // reaches them, fused or not.
-                bus.stats.exec_checks += 2;
-                cmp_imm!(cb2);
-                branch!(cb2);
-            }
-            SuperOp::AddCheck { dst, imm, check } => {
-                bus.stats.exec_checks += 3;
-                let v = self.alu(AluOp::Add, self.reg(dst), imm);
-                self.set_reg(dst, v);
-                pure!(4, 2);
-                cmp_imm!(check);
-                branch!(check);
-            }
-            SuperOp::PushMov { push, dst, src } => {
-                bus.stats.exec_checks += 1;
-                d_steps += 1;
-                d_instr += 1;
-                d_cycles += 3;
-                d_data += 1;
-                // Ticks deferred so far land before the memory access;
-                // the push's own 3 cycles are re-deferred on every path.
-                bus.timer.tick(pending);
-                let v = self.reg(push);
-                if let Err(fault) = self.push(bus, v) {
-                    pending = 3;
-                    flush!();
-                    // The unfused loop leaves the PC register on the
-                    // faulting instruction (every earlier component
-                    // advanced it); mirror that exactly.
-                    self.set_pc(at);
-                    return Some(Flow::Stop(self.bus_fault_to_event(at, fault)));
-                }
-                pending = 3;
-                at += 2;
-                bus.stats.exec_checks += 1;
-                let v = self.reg(src);
-                self.set_reg(dst, v);
-                pure!(2, 1);
-            }
-            SuperOp::MovPop { dst, src, pop } => {
-                bus.stats.exec_checks += 1;
-                let v = self.reg(src);
-                self.set_reg(dst, v);
-                pure!(2, 1);
-                bus.stats.exec_checks += 1;
-                d_steps += 1;
-                d_instr += 1;
-                d_cycles += 2;
-                d_data += 1;
-                // Same flush-before-memory discipline as the push above.
-                bus.timer.tick(pending);
-                match self.pop(bus) {
-                    Ok(v) => self.set_reg(pop, v),
-                    Err(fault) => {
-                        pending = 2;
-                        flush!();
-                        // As for the push above: the fault leaves the PC
-                        // register on the faulting component.
-                        self.set_pc(at);
-                        return Some(Flow::Stop(self.bus_fault_to_event(at, fault)));
-                    }
-                }
-                pending = 2;
-                at += 2;
-            }
-            SuperOp::ElidedPair { w1, c1, w2, c2 } => {
-                bus.stats.exec_checks += 2;
-                pure!(2 * u32::from(w1), u64::from(c1));
-                pure!(2 * u32::from(w2), u64::from(c2));
-            }
-        }
-
-        flush!();
-        Some(Flow::Next(at))
     }
 
     /// Executes one already-fetched instruction: every arm either produces
@@ -1084,272 +857,6 @@ mod tests {
             cpu.cond_holds(Cond::Hs),
             "unsigned comparison sees a large value"
         );
-    }
-
-    /// A check-heavy loop exercising every fused shape: the timer is
-    /// started and read mid-loop (so deferred ticks must stay exact), a
-    /// double bound check guards a store, an add-then-check tail loops,
-    /// and a called function runs the fused prologue/epilogue.
-    fn fusable_program() -> InstrStore {
-        let mut code = asm(
-            0x4400,
-            &[
-                Instr::StoreAbs {
-                    src: Reg::R7,
-                    addr: crate::timer::TIMER_CONTROL as u16,
-                    width: Width::Word,
-                }, // started below via R7 = 0x0020
-                Instr::MovImm {
-                    dst: Reg::R14,
-                    imm: 0x1C00,
-                },
-                Instr::MovImm {
-                    dst: Reg::R4,
-                    imm: 0,
-                },
-                // loop (0x440C):
-                Instr::CmpImm {
-                    a: Reg::R14,
-                    imm: 0x1C00,
-                },
-                Instr::Jcc {
-                    cond: Cond::Lo,
-                    target: 0x4500,
-                },
-                Instr::CmpImm {
-                    a: Reg::R14,
-                    imm: 0x2000,
-                },
-                Instr::Jcc {
-                    cond: Cond::Hs,
-                    target: 0x4500,
-                },
-                Instr::Store {
-                    src: Reg::R4,
-                    base: Reg::R14,
-                    offset: 0,
-                    width: Width::Word,
-                },
-                Instr::LoadAbs {
-                    dst: Reg::R6,
-                    addr: crate::timer::TIMER_COUNTER as u16,
-                    width: Width::Word,
-                },
-                Instr::Call { target: 0x4480 },
-                Instr::AluImm {
-                    op: AluOp::Add,
-                    dst: Reg::R4,
-                    imm: 1,
-                },
-                Instr::CmpImm {
-                    a: Reg::R4,
-                    imm: 25,
-                },
-                Instr::Jcc {
-                    cond: Cond::Lo,
-                    target: 0x440C,
-                },
-                Instr::Halt,
-            ],
-        );
-        // f: fused prologue, fused epilogue head, ret.
-        for (a, i) in asm(
-            0x4480,
-            &[
-                Instr::Push { src: Reg::FP },
-                Instr::Mov {
-                    dst: Reg::FP,
-                    src: Reg::SP,
-                },
-                Instr::Mov {
-                    dst: Reg::SP,
-                    src: Reg::FP,
-                },
-                Instr::Pop { dst: Reg::FP },
-                Instr::Ret,
-            ],
-        )
-        .iter()
-        {
-            code.insert(a, *i);
-        }
-        // fail (0x4500):
-        code.insert(0x4500, Instr::Fault { code: 0 });
-        code
-    }
-
-    /// Runs `code` from 0x4400 in blocks of `block` steps until a stopping
-    /// event (or a step cap), collecting every event.
-    fn run_trace(code: &InstrStore, block: u64) -> (Cpu, Bus, Vec<StepEvent>) {
-        let mut cpu = Cpu::new();
-        let mut bus = Bus::msp430fr5969();
-        cpu.set_pc(0x4400);
-        cpu.set_sp(0x2400);
-        cpu.set_reg(Reg::R7, 0x0020); // timer start value for StoreAbs
-        let mut events = Vec::new();
-        let mut total: u64 = 0;
-        while total < 100_000 {
-            let (ev, used) = cpu.run_block(&mut bus, code, block);
-            total += used;
-            if let Some(ev) = ev {
-                events.push(ev);
-                if matches!(ev, StepEvent::Halted | StepEvent::Fault(_)) {
-                    break;
-                }
-            }
-        }
-        (cpu, bus, events)
-    }
-
-    fn assert_same_outcome(code: &InstrStore, fused: &InstrStore, block: u64) {
-        let (cpu_u, bus_u, ev_u) = run_trace(code, block);
-        let (cpu_f, bus_f, ev_f) = run_trace(fused, block);
-        assert_eq!(ev_u, ev_f, "events diverge at block size {block}");
-        assert_eq!(cpu_u.stats, cpu_f.stats);
-        assert_eq!(cpu_u.cycles, cpu_f.cycles);
-        assert_eq!(cpu_u.regs, cpu_f.regs);
-        assert_eq!(
-            (cpu_u.flag_z, cpu_u.flag_n, cpu_u.flag_c, cpu_u.flag_v),
-            (cpu_f.flag_z, cpu_f.flag_n, cpu_f.flag_c, cpu_f.flag_v)
-        );
-        assert_eq!(bus_u.stats, bus_f.stats);
-        assert_eq!(bus_u.timer.raw_cycles(), bus_f.timer.raw_cycles());
-    }
-
-    #[test]
-    fn fused_execution_is_bit_identical_to_unfused() {
-        let code = fusable_program();
-        let mut fused = code.clone();
-        let report = fused.fuse();
-        assert!(report.double_checks > 0);
-        assert!(report.add_checks > 0);
-        assert!(report.prologues > 0);
-        assert!(report.epilogues > 0);
-        // Block size 1 never engages the fused path (budget gate), larger
-        // blocks engage it mid-stream, u64::MAX runs it throughout — all
-        // must retire the identical trace.
-        for block in [1, 2, 3, 7, u64::MAX] {
-            assert_same_outcome(&code, &fused, block);
-        }
-    }
-
-    #[test]
-    fn fused_check_taken_branch_leaves_the_sequence() {
-        // R14 below the lower bound: the first Jcc of the fused double
-        // check fires and lands on the fault stub.
-        let code = asm(
-            0x4400,
-            &[
-                Instr::MovImm {
-                    dst: Reg::R14,
-                    imm: 0x1000,
-                },
-                Instr::CmpImm {
-                    a: Reg::R14,
-                    imm: 0x1C00,
-                },
-                Instr::Jcc {
-                    cond: Cond::Lo,
-                    target: 0x4500,
-                },
-                Instr::CmpImm {
-                    a: Reg::R14,
-                    imm: 0x2000,
-                },
-                Instr::Jcc {
-                    cond: Cond::Hs,
-                    target: 0x4500,
-                },
-                Instr::Halt,
-            ],
-        );
-        let mut fused = code.clone();
-        fused.fuse();
-        let mut code2 = InstrStore::new();
-        for (a, i) in code.iter() {
-            code2.insert(a, *i);
-        }
-        code2.insert(0x4500, Instr::Fault { code: 0 });
-        let mut fused2 = code2.clone();
-        fused2.fuse();
-        for block in [1, 2, 4, u64::MAX] {
-            assert_same_outcome(&code2, &fused2, block);
-        }
-        let (cpu, _, events) = run_trace(&fused2, u64::MAX);
-        assert!(matches!(events[0], StepEvent::Fault(_)));
-        // Exactly: MovImm + CmpImm + Jcc + Fault retired.
-        assert_eq!(cpu.stats.instructions, 4);
-    }
-
-    #[test]
-    fn fused_memory_fault_mid_sequence_matches_unfused() {
-        // The Push of a fused prologue faults against the MPU: the fault
-        // must surface identically to unfused execution, with the Mov
-        // component never retiring.
-        let code = asm(
-            0x4400,
-            &[
-                Instr::Push { src: Reg::FP },
-                Instr::Mov {
-                    dst: Reg::FP,
-                    src: Reg::SP,
-                },
-                Instr::Halt,
-            ],
-        );
-        let mut fused = code.clone();
-        fused.fuse();
-        assert!(fused.is_fused());
-        let run = |code: &InstrStore| {
-            let mut cpu = Cpu::new();
-            let mut bus = Bus::msp430fr5969();
-            bus.mpu.write_register(crate::mpu::MPUSEGB1, 0x600).unwrap();
-            bus.mpu.write_register(crate::mpu::MPUSEGB2, 0x800).unwrap();
-            bus.mpu.write_register(crate::mpu::MPUSAM, 0x0037).unwrap();
-            bus.mpu.write_register(crate::mpu::MPUCTL0, 0xA501).unwrap();
-            cpu.set_pc(0x4400);
-            cpu.set_sp(0x9002); // push writes 0x9000: no-access segment
-            let ev = cpu.run_block(&mut bus, code, u64::MAX).0;
-            (ev, cpu.stats, cpu.cycles, bus.stats, cpu.sp(), cpu.pc())
-        };
-        let unfused_out = run(&code);
-        let fused_out = run(&fused);
-        assert_eq!(unfused_out, fused_out);
-        match unfused_out.0 {
-            Some(StepEvent::Fault(info)) => {
-                assert_eq!(info.class, FaultClass::MpuViolation);
-                assert_eq!(info.addr, Some(0x9000));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fused_budget_boundary_retires_the_head_unfused() {
-        // A two-component sequence with a budget of one: the head executes
-        // unfused, consuming exactly the budget.
-        let code = asm(
-            0x4400,
-            &[
-                Instr::CmpImm { a: Reg::R4, imm: 1 },
-                Instr::Jcc {
-                    cond: Cond::Eq,
-                    target: 0x4400,
-                },
-                Instr::Halt,
-            ],
-        );
-        let mut fused = code.clone();
-        fused.fuse();
-        let mut cpu = Cpu::new();
-        let mut bus = Bus::msp430fr5969();
-        cpu.set_pc(0x4400);
-        cpu.set_sp(0x2400);
-        let (ev, used) = cpu.run_block(&mut bus, &fused, 1);
-        assert_eq!(ev, None);
-        assert_eq!(used, 1);
-        assert_eq!(cpu.stats.instructions, 1);
-        assert_eq!(cpu.pc(), 0x4404, "only the CmpImm retired");
     }
 
     #[test]

@@ -176,17 +176,6 @@ impl Firmware {
         self.apps.iter().find(|a| a.name == name)
     }
 
-    /// Runs the superinstruction fusion pass over the image's instruction
-    /// store (see [`InstrStore::fuse`]).  Fusion is derived state: the
-    /// encoded wire format and store keys are unchanged, only the in-memory
-    /// dispatch overlay.  Clones the store when it is shared.
-    pub fn fuse(&mut self) -> crate::code::FuseReport {
-        let mut store = (*self.code).clone();
-        let report = store.fuse();
-        self.code = Arc::new(store);
-        report
-    }
-
     /// The address range spanned by the instruction store (for diagnostics).
     pub fn code_span(&self) -> Option<AddrRange> {
         let (first, _) = self.code.first()?;
