@@ -4,14 +4,12 @@
 //! delivery comparison) as `BENCH_fleet.json` — both on stdout and to the
 //! file.
 //!
-//! Usage (positional form, unchanged since PR 3):
-//! `fleet_sim [devices] [workers] [events_per_device] [seed] [mode]`
+//! Usage:
+//! `fleet_sim --devices N --workers N --events N --seed N --mode arrival-order|stepped
+//!  --silent-permille N --preset scaling --summary --no-write`
 //! (defaults: 1000 devices, one worker per host core, 120 events, the
-//! scenario's default seed, `arrival-order`).
-//!
-//! Flag form (mixable with positionals; flags win):
-//! `--devices N --workers N --events N --seed N --mode arrival-order|stepped
-//!  --silent-permille N --preset scaling --summary --linear --no-write`
+//! scenario's default seed, `arrival-order`).  Every argument is a flag;
+//! a bare word exits 2.
 //!
 //! * `--preset scaling` starts from [`FleetScenario::scaling`] — the
 //!   mostly-silent, windowed campaign the scaling study runs — before
@@ -25,19 +23,17 @@
 //!   or any number that does not fit its knob's type, exits 2.
 //! * `--store-cap-bytes N` bounds the on-disk store (least-recently-used
 //!   images evicted first); requires `--store`.  Contradictory flag
-//!   combinations (`--store --no-store`, `--paranoid --no-store`,
-//!   `--linear --summary`, ...) are rejected up front with exit code 2.
+//!   combinations (`--store --no-store`, `--paranoid --no-store`, ...)
+//!   are rejected up front with exit code 2.
 //! * `--summary` streams block aggregation (`simulate_summary`) instead
 //!   of materialising per-device results: bounded memory at 10⁵–10⁶
 //!   devices, byte-identical document.
-//! * `--linear` forces the pre-calendar linear walk (the oracle) — for
-//!   baseline measurements.
-//! * `--scaling` runs the whole scaling campaign: a linear baseline at
-//!   10³ plus calendar points at {10³, 10⁴, 10⁵}, each in a child
-//!   process so peak RSS is measured per point, then writes the report
-//!   for the largest point with a `"scaling"` section attached — plus a
-//!   `"firmware_store"` section timing a cold vs warm store prewarm of
-//!   the top point's distinct configurations.
+//! * `--scaling` runs the whole scaling campaign: points at {10³, 10⁴,
+//!   10⁵} devices, each in a child process so peak RSS is measured per
+//!   point, then writes the report for the largest point with a
+//!   `"scaling"` section attached — plus a `"firmware_store"` section
+//!   timing a cold vs warm store prewarm of the top point's distinct
+//!   configurations.
 //! * `--store DIR` persists built firmwares in a content-addressable
 //!   store under `DIR`: the run prewarms every distinct configuration
 //!   through the store (timed separately from the campaign) and the
@@ -53,25 +49,20 @@
 //!   aborts the run) and attaches a `verifier` section with the fleet's
 //!   verdict counters.  `--elide-checks` deploys images rewritten through
 //!   check elision — outcome-identical, fewer retired instructions.
-//!   `--elide-checks` conflicts with `--linear`: the linear oracle is the
-//!   unelided reference baseline, so eliding it would benchmark the
-//!   optimisation against itself (exit 2).
 
 use amulet_bench::fleet_sim::{
     containment_json, ota_wave_json, render_document, render_document_with, store_stats_json,
     verify_summary_json,
 };
 use amulet_bench::json::Json;
-use amulet_fleet::{
-    simulate_in, simulate_linear_in, simulate_summary_in, FirmwareStore, FleetScenario, TimeMode,
-};
+use amulet_fleet::{simulate_in, simulate_summary_in, FirmwareStore, FleetScenario, TimeMode};
 use std::path::PathBuf;
 use std::time::Instant;
 
-const USAGE: &str = "usage: fleet_sim [devices] [workers] [events_per_device] [seed] [mode] \
-     [--devices N] [--workers N] [--events N] [--seed N] [--mode arrival-order|stepped] \
+const USAGE: &str = "usage: fleet_sim [--devices N] [--workers N] [--events N] [--seed N] \
+     [--mode arrival-order|stepped] \
      [--silent-permille N] [--preset scaling|storm] [--fault-permille N] [--ota-permille N] \
-     [--ota-corrupt-permille N] [--ota-max-retries N] [--step-budget N] [--summary] [--linear] \
+     [--ota-corrupt-permille N] [--ota-max-retries N] [--step-budget N] [--summary] \
      [--no-write] [--scaling] [--store DIR] [--no-store] [--paranoid] [--store-cap-bytes N] \
      [--report-out FILE] [--verify] [--elide-checks]";
 
@@ -93,7 +84,6 @@ struct Cli {
     preset_scaling: bool,
     preset_storm: bool,
     summary: bool,
-    linear: bool,
     no_write: bool,
     scaling: bool,
     scaling_point: bool,
@@ -121,7 +111,6 @@ fn parse_mode(s: &str) -> TimeMode {
 
 fn parse(args: impl Iterator<Item = String>) -> Cli {
     let mut cli = Cli::default();
-    let mut positional = 0usize;
     let mut it = args;
     let value = |flag: &str, it: &mut dyn Iterator<Item = String>| -> String {
         it.next()
@@ -153,7 +142,6 @@ fn parse(args: impl Iterator<Item = String>) -> Cli {
                 other => fail(&format!("unknown preset {other:?}")),
             },
             "--summary" => cli.summary = true,
-            "--linear" => cli.linear = true,
             "--no-write" => cli.no_write = true,
             "--scaling" => cli.scaling = true,
             "--scaling-point" => cli.scaling_point = true,
@@ -164,22 +152,7 @@ fn parse(args: impl Iterator<Item = String>) -> Cli {
             "--verify" => cli.verify = true,
             "--elide-checks" => cli.elide_checks = true,
             flag if flag.starts_with("--") => fail(&format!("unknown flag {flag:?}")),
-            word => {
-                // Positional compatibility: devices, workers, events, seed,
-                // then the mode word.
-                match (positional, word.parse::<u64>()) {
-                    (0, Ok(_)) => cli.devices = Some(parse_num("devices", word)),
-                    (1, Ok(_)) => cli.workers = Some(parse_num("workers", word)),
-                    (2, Ok(_)) => cli.events = Some(parse_num("events", word)),
-                    (3, Ok(n)) => cli.seed = Some(n),
-                    (_, Ok(_)) => fail(&format!("unexpected trailing argument {word:?}")),
-                    (_, Err(_)) if cli.mode.is_none() => cli.mode = Some(parse_mode(word)),
-                    _ => fail(&format!("unexpected trailing argument {word:?}")),
-                }
-                if word.parse::<u64>().is_ok() {
-                    positional += 1;
-                }
-            }
+            word => fail(&format!("unexpected argument {word:?}")),
         }
     }
     cli
@@ -216,20 +189,11 @@ fn validate(cli: &Cli) {
     if cli.store_cap_bytes.is_some() && cli.store.is_none() {
         fail("--store-cap-bytes bounds an on-disk store and needs --store DIR");
     }
-    if cli.linear && cli.summary {
-        fail("--linear and --summary conflict: the linear oracle materialises per-device results");
-    }
     if cli.preset_scaling && cli.preset_storm {
         fail("--preset given twice with different presets");
     }
     if cli.scaling && cli.scaling_point {
         fail("--scaling and --scaling-point conflict");
-    }
-    if cli.elide_checks && cli.linear {
-        fail(
-            "--elide-checks and --linear conflict: the linear oracle is the unelided \
-             reference baseline",
-        );
     }
 }
 
@@ -332,13 +296,9 @@ fn run_point(cli: &Cli) -> ! {
     let (scenario, workers) = scenario_from(cli);
     let store = FirmwareStore::for_scenario(&scenario);
     let started = Instant::now();
-    let events = if cli.linear {
-        let report = simulate_linear_in(&scenario, workers, &store);
-        report.aggregate.per_event.events_delivered + report.aggregate.batched.events_delivered
-    } else {
-        let summary = simulate_summary_in(&scenario, workers, &store);
-        summary.aggregate.per_event.events_delivered + summary.aggregate.batched.events_delivered
-    };
+    let summary = simulate_summary_in(&scenario, workers, &store);
+    let events =
+        summary.aggregate.per_event.events_delivered + summary.aggregate.batched.events_delivered;
     let wall = started.elapsed().as_secs_f64();
     println!("devices={}", scenario.devices);
     println!("wall_seconds={wall}");
@@ -446,61 +406,29 @@ fn store_bench(scenario: &FleetScenario, dir: &std::path::Path) -> Json {
         .field("warm_start_speedup", cold_wall / warm_wall.max(1e-9))
 }
 
-/// The scaling campaign: linear baselines at 10³, calendar points at
-/// {10³, 10⁴, 10⁵}, each in its own child process, composed into the
-/// `"scaling"` section of the largest point's report.
+/// The scaling campaign: block-engine points at {10³, 10⁴, 10⁵}, each in
+/// its own child process, composed into the `"scaling"` section of the
+/// largest point's report.
 fn run_scaling(cli: &Cli) {
     let workers = scenario_from(cli).1;
     let top = cli.devices.unwrap_or(100_000);
 
-    eprintln!("scaling: linear stepped baseline, dense default scenario, 1000 devices...");
-    let linear_dense = spawn_point(&["--linear", "--mode", "stepped"], 1000, workers);
-    eprintln!("scaling: linear stepped baseline, scaling preset, 1000 devices...");
-    let linear_preset = spawn_point(&["--linear", "--preset", "scaling"], 1000, workers);
-
-    let mut calendar_points = Vec::new();
+    let mut points = Vec::new();
     let mut n = 1000usize;
     while n <= top {
-        eprintln!("scaling: calendar, scaling preset, {n} devices...");
-        calendar_points.push(spawn_point(&["--preset", "scaling"], n, workers));
+        eprintln!("scaling: scaling preset, {n} devices...");
+        points.push(spawn_point(&["--preset", "scaling"], n, workers));
         n *= 10;
     }
-    let top_point = calendar_points.last().expect("at least one calendar point");
-    let scale = top_point.devices as f64 / 1000.0;
-    // The linear walk is O(devices): its 10³ wall-clock scales by
-    // devices/10³ at the top point.  The headline compares the calendar's
-    // top-point throughput against the *pre-calendar* 10³ baseline (the
-    // dense default scenario PR 4 shipped), which is what this PR set out
-    // to beat; the same-preset comparison is reported alongside so the
-    // workload change and the scheduler change are separable.
-    let headline_speedup =
-        top_point.devices_per_second() / linear_dense.devices_per_second().max(1e-9);
-    let same_preset_speedup =
-        top_point.devices_per_second() / linear_preset.devices_per_second().max(1e-9);
+    let top_point = points.last().expect("at least one scaling point");
     let scaling = Json::obj()
         .field("preset", "scaling-campaign")
         .field("workers", workers)
         .field(
-            "linear_baseline",
-            Json::obj()
-                .field("dense_1e3", linear_dense.json())
-                .field("preset_1e3", linear_preset.json())
-                .field(
-                    "extrapolated_dense_wall_seconds_at_top",
-                    linear_dense.wall_seconds * scale,
-                )
-                .field(
-                    "extrapolated_preset_wall_seconds_at_top",
-                    linear_preset.wall_seconds * scale,
-                ),
-        )
-        .field(
             "calendar",
-            calendar_points.iter().map(Point::json).collect::<Vec<_>>(),
+            points.iter().map(Point::json).collect::<Vec<_>>(),
         )
-        .field("top_devices", top_point.devices)
-        .field("speedup_vs_extrapolated_linear_at_top", headline_speedup)
-        .field("speedup_vs_same_preset_linear_at_top", same_preset_speedup);
+        .field("top_devices", top_point.devices);
 
     // The firmware-store cold/warm bench over the top point's distinct
     // configurations — the committed `firmware_store` section.
@@ -540,7 +468,7 @@ fn run_scaling(cli: &Cli) {
         ("ota_wave", ota_wave_json(&storm.aggregate.ota_wave)),
     ];
 
-    // The document itself reports the largest calendar point, re-run
+    // The document itself reports the largest scaling point, re-run
     // in-process (cheap next to the campaign) so the full aggregate is
     // available.  When a store directory is active it was just prewarmed
     // by the bench above, so this run is the warm-start case: every
@@ -628,9 +556,7 @@ fn main() {
         (configs, started.elapsed().as_secs_f64())
     });
     let started = Instant::now();
-    let aggregate = if cli.linear {
-        simulate_linear_in(&scenario, workers, &store).aggregate
-    } else if cli.summary {
+    let aggregate = if cli.summary {
         simulate_summary_in(&scenario, workers, &store).aggregate
     } else {
         simulate_in(&scenario, workers, &store).aggregate

@@ -1,9 +1,11 @@
 //! The `fleet_sim` command line, driven as a process.
 //!
-//! Hostile or contradictory knobs must exit 2 before anything runs — never
-//! be truncated or reinterpreted into a different campaign — and degenerate
-//! but legal knobs (zero devices, zero events, zero workers) must still
-//! print a valid JSON report with no `NaN` or infinity in it.
+//! Hostile, contradictory or unknown arguments must exit 2 before anything
+//! runs — never be truncated, ignored or reinterpreted into a different
+//! campaign — and degenerate but legal knobs (zero devices, zero events,
+//! zero workers) must still print a valid JSON report with no `NaN` or
+//! infinity in it.  The deterministic report must be byte-identical for
+//! any worker count, in both time modes.
 
 use std::process::{Command, Output};
 
@@ -52,8 +54,84 @@ fn ota_max_retries_beyond_u32_exits_2() {
 }
 
 #[test]
-fn eliding_the_linear_oracle_exits_2() {
-    assert_rejected(&["--elide-checks", "--linear", "--no-write", "--no-store"]);
+fn contradictory_unknown_and_bare_arguments_exit_2() {
+    for args in [
+        &["--store", "fleet-store", "--no-store"][..],
+        &["--store-cap-bytes", "1"],
+        &["--no-such-flag"],
+        &["--linear"],
+        &["64"],
+    ] {
+        assert_rejected(&[args, &["--no-write"]].concat());
+    }
+}
+
+/// Runs `fleet_sim` with `args` and returns the deterministic document it
+/// wrote to `--report-out`; `name` keeps concurrent tests' files apart.
+fn report_out(args: &[&str], name: &str) -> String {
+    let path =
+        std::env::temp_dir().join(format!("fleet_sim_cli-{}-{name}.json", std::process::id()));
+    let path_arg = path.to_str().expect("UTF-8 temp path");
+    let args = [
+        args,
+        &["--no-write", "--no-store", "--report-out", path_arg],
+    ]
+    .concat();
+    let out = fleet_sim(&args);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "fleet_sim {args:?} must succeed; stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = std::fs::read_to_string(&path).expect("--report-out file written");
+    let _ = std::fs::remove_file(&path);
+    doc
+}
+
+#[test]
+fn reports_are_byte_identical_for_1_and_8_workers_in_both_time_modes() {
+    let arrival = ["--devices", "200", "--events", "60"];
+    let stepped = [&arrival[..], &["--seed", "990951", "--mode", "stepped"]].concat();
+    let mut docs = Vec::new();
+    for (label, args) in [("arrival", &arrival[..]), ("stepped", &stepped[..])] {
+        let w1 = report_out(
+            &[args, &["--workers", "1"]].concat(),
+            &format!("{label}-w1"),
+        );
+        let w8 = report_out(
+            &[args, &["--workers", "8"]].concat(),
+            &format!("{label}-w8"),
+        );
+        assert!(w1 == w8, "{label} report differs between 1 and 8 workers");
+        docs.push(parse_json(&w1).unwrap_or_else(|at| panic!("invalid JSON at byte {at}")));
+    }
+
+    // The arrival-order fleet mixes all five platform profiles.
+    let Value::Arr(platforms) = docs[0].at("aggregate/devices_per_platform") else {
+        panic!("devices_per_platform is not an array");
+    };
+    let mut drawn: Vec<&str> = platforms.iter().map(|p| p.at("name").str()).collect();
+    drawn.sort_unstable();
+    assert_eq!(
+        drawn,
+        [
+            "cortex-m33",
+            "msp430fr5969",
+            "msp430fr5969-advanced-mpu",
+            "msp430fr5994",
+            "riscv-pmp",
+        ]
+    );
+
+    // The stepped report: idle dominates a wearable trace, and batching
+    // trades visible delivery latency for its switch savings.
+    let agg = docs[1].at("aggregate");
+    assert!(agg.at("per_event/idle_energy_share").num() > 0.5);
+    assert!(
+        agg.at("batched/delivery_latency_ms/p50").num()
+            > agg.at("per_event/delivery_latency_ms/p50").num()
+    );
 }
 
 #[test]
@@ -72,7 +150,7 @@ fn degenerate_knobs_emit_valid_finite_json() {
             String::from_utf8_lossy(&out.stderr)
         );
         let text = String::from_utf8(out.stdout).expect("UTF-8 report");
-        if let Err(at) = validate_json(&text) {
+        if let Err(at) = parse_json(&text) {
             panic!("fleet_sim {args:?} printed invalid JSON at byte {at}:\n{text}");
         }
         // The renderer writes a non-finite float as `null`, and these
@@ -84,15 +162,59 @@ fn degenerate_knobs_emit_valid_finite_json() {
     }
 }
 
-/// Checks that `text` is exactly one RFC 8259 JSON value (plus
-/// whitespace); on failure returns the byte offset where parsing stopped.
-/// Strict numbers, so `NaN`, `inf` and friends are rejected as tokens.
-fn validate_json(text: &str) -> Result<(), usize> {
+/// A parsed JSON value: just enough to read names and numbers out of a
+/// report.
+#[derive(Debug)]
+enum Value {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(String),
+    Arr(Vec<Value>),
+    Obj(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// The value at `path`, a `/`-separated list of object keys.
+    fn at(&self, path: &str) -> &Value {
+        path.split('/').fold(self, |v, key| match v {
+            Value::Obj(fields) => fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+                .unwrap_or_else(|| panic!("{path}: no field {key:?}")),
+            other => panic!("{path}: {key:?} looked up in {other:?}"),
+        })
+    }
+
+    fn num(&self) -> f64 {
+        match self {
+            Value::Num(n) => *n,
+            other => panic!("{other:?} is not a number"),
+        }
+    }
+
+    fn str(&self) -> &str {
+        match self {
+            Value::Str(s) => s,
+            other => panic!("{other:?} is not a string"),
+        }
+    }
+}
+
+/// A parsed item and the byte offset just past it, or the offset where
+/// parsing stopped.
+type Parsed<T> = Result<(T, usize), usize>;
+
+/// Parses `text` as exactly one RFC 8259 JSON value (plus whitespace); on
+/// failure returns the byte offset where parsing stopped.  Strict
+/// numbers, so `NaN`, `inf` and friends are rejected as tokens.
+fn parse_json(text: &str) -> Result<Value, usize> {
     let b = text.as_bytes();
-    let mut i = value(b, ws(b, 0))?;
-    i = ws(b, i);
+    let (v, i) = value(b, ws(b, 0))?;
+    let i = ws(b, i);
     if i == b.len() {
-        Ok(())
+        Ok(v)
     } else {
         Err(i)
     }
@@ -105,74 +227,91 @@ fn ws(b: &[u8], mut i: usize) -> usize {
     i
 }
 
-fn value(b: &[u8], i: usize) -> Result<usize, usize> {
+fn value(b: &[u8], i: usize) -> Parsed<Value> {
+    let literal = |lit: &str, v: Value| {
+        b[i..]
+            .starts_with(lit.as_bytes())
+            .then(|| (v, i + lit.len()))
+    };
     match b.get(i) {
-        Some(b'{') => seq(b, i, b'}', |b, i| {
-            let i = ws(b, string(b, i)?);
-            if b.get(i) != Some(&b':') {
-                return Err(i);
-            }
-            value(b, ws(b, i + 1))
-        }),
-        Some(b'[') => seq(b, i, b']', value),
-        Some(b'"') => string(b, i),
+        Some(b'{') => {
+            let (fields, i) = seq(b, i, b'}', |b, i| {
+                let (key, i) = string(b, i)?;
+                let i = ws(b, i);
+                if b.get(i) != Some(&b':') {
+                    return Err(i);
+                }
+                let (v, i) = value(b, ws(b, i + 1))?;
+                Ok(((key, v), i))
+            })?;
+            Ok((Value::Obj(fields), i))
+        }
+        Some(b'[') => seq(b, i, b']', value).map(|(items, i)| (Value::Arr(items), i)),
+        Some(b'"') => string(b, i).map(|(s, i)| (Value::Str(s), i)),
         Some(b'-' | b'0'..=b'9') => number(b, i),
-        _ => ["true", "false", "null"]
-            .iter()
-            .find(|lit| b[i..].starts_with(lit.as_bytes()))
-            .map(|lit| i + lit.len())
+        _ => literal("true", Value::Bool(true))
+            .or_else(|| literal("false", Value::Bool(false)))
+            .or_else(|| literal("null", Value::Null))
             .ok_or(i),
     }
 }
 
 /// An object or array opened at `b[i]`: `item`s separated by commas.
-fn seq(
-    b: &[u8],
-    i: usize,
-    close: u8,
-    item: fn(&[u8], usize) -> Result<usize, usize>,
-) -> Result<usize, usize> {
+fn seq<T>(b: &[u8], i: usize, close: u8, item: fn(&[u8], usize) -> Parsed<T>) -> Parsed<Vec<T>> {
+    let mut items = Vec::new();
     let mut i = ws(b, i + 1);
     if b.get(i) == Some(&close) {
-        return Ok(i + 1);
+        return Ok((items, i + 1));
     }
     loop {
-        i = ws(b, item(b, i)?);
+        let (v, next) = item(b, i)?;
+        items.push(v);
+        i = ws(b, next);
         match b.get(i) {
             Some(b',') => i = ws(b, i + 1),
-            Some(&c) if c == close => return Ok(i + 1),
+            Some(&c) if c == close => return Ok((items, i + 1)),
             _ => return Err(i),
         }
     }
 }
 
-fn string(b: &[u8], i: usize) -> Result<usize, usize> {
+/// A string opened at `b[i]`.  An escaped character is kept as the
+/// character after the backslash — enough for the names a report holds.
+fn string(b: &[u8], i: usize) -> Parsed<String> {
     if b.get(i) != Some(&b'"') {
         return Err(i);
     }
+    let mut out = Vec::new();
     let mut i = i + 1;
     loop {
         match b.get(i) {
-            Some(b'"') => return Ok(i + 1),
-            Some(b'\\') => i += 2,
-            Some(&c) if c >= 0x20 => i += 1,
+            Some(b'"') => return Ok((String::from_utf8_lossy(&out).into_owned(), i + 1)),
+            Some(b'\\') => {
+                out.extend(b.get(i + 1));
+                i += 2;
+            }
+            Some(&c) if c >= 0x20 => {
+                out.push(c);
+                i += 1;
+            }
             _ => return Err(i),
         }
     }
 }
 
-fn number(b: &[u8], mut i: usize) -> Result<usize, usize> {
+fn number(b: &[u8], start: usize) -> Parsed<Value> {
     let digits = |b: &[u8], mut i: usize| -> Result<usize, usize> {
-        let start = i;
+        let first = i;
         while b.get(i).is_some_and(u8::is_ascii_digit) {
             i += 1;
         }
-        if i == start {
+        if i == first {
             Err(i)
         } else {
             Ok(i)
         }
     };
+    let mut i = start;
     if b.get(i) == Some(&b'-') {
         i += 1;
     }
@@ -187,12 +326,19 @@ fn number(b: &[u8], mut i: usize) -> Result<usize, usize> {
         }
         i = digits(b, i)?;
     }
-    Ok(i)
+    let text = std::str::from_utf8(&b[start..i]).expect("ASCII number");
+    Ok((Value::Num(text.parse().map_err(|_| start)?), i))
 }
 
 #[test]
 fn the_validator_rejects_what_it_must() {
-    assert!(validate_json("{\"a\": [1, 2.5, -3e2, true, null, \"x\\\"y\"]}\n").is_ok());
+    let doc = parse_json("{\"a\": [1, 2.5, -3e2, true, null, \"x\\\"y\"]}\n").expect("valid");
+    let Value::Arr(items) = doc.at("a") else {
+        panic!("{doc:?}");
+    };
+    assert_eq!(items[2].num(), -300.0);
+    assert!(matches!(items[3..5], [Value::Bool(true), Value::Null]));
+    assert_eq!(items[5].str(), "x\"y");
     for bad in [
         "NaN",
         "inf",
@@ -202,6 +348,6 @@ fn the_validator_rejects_what_it_must() {
         "[1] [2]",
         "01x",
     ] {
-        assert!(validate_json(bad).is_err(), "{bad:?} must not validate");
+        assert!(parse_json(bad).is_err(), "{bad:?} must not validate");
     }
 }

@@ -1,31 +1,27 @@
-//! The discrete-event fleet core: a wake calendar over device blocks.
+//! The fleet engine: device blocks fanned out across workers.
 //!
-//! PR 4's stepped mode proved fleet devices sleep ~99.99 % of virtual
-//! time, yet the linear walk still paid O(devices) per unit of virtual
-//! time.  This module restructures the stepped runner around the classic
-//! discrete-event shape — work happens only where events are:
+//! Every fleet run — a materialised [`crate::FleetReport`] or a streamed
+//! [`crate::FleetSummary`], in either [`crate::TimeMode`] — goes through
+//! [`collect_blocks_in`].  The time mode only chooses the trace accounting
+//! inside [`simulate_device`]; the engine itself does not read it.
 //!
-//! - **Wake calendar.**  Within a block, devices are grouped by firmware
-//!   configuration and each group enters a priority queue keyed by the
-//!   earliest *next-wake* time among its members (the first trace
-//!   arrival; silent devices have no arrivals and sort last).  The runner
-//!   pops the earliest wake, advances the woken devices' virtual clocks
-//!   through the existing `pump_counted`/`flush_counted` machinery (each
-//!   trace arrival is that device's next calendar entry; the LPM idle
-//!   accounting between arrivals is unchanged), and retires the group.
-//!   Fleet devices are causally independent — no event ever crosses from
-//!   one device to another — so running a woken device to completion is
-//!   result-identical to fine-grained interleaving, and the coarse grain
-//!   is what lets one booted runtime serve a whole group through
-//!   [`AmuletOs::reset`].
-//!
-//! - **Block sharding.**  Devices are partitioned into fixed
-//!   [`BLOCK_SIZE`] index blocks; workers claim blocks from a shared
-//!   atomic counter and results are merged **in block order** on the
-//!   calling thread.  The block grid never depends on the worker count,
+//! - **Block sharding.**  Device indices are partitioned into fixed-size
+//!   blocks; workers claim blocks from a shared atomic counter and the
+//!   folded blocks are returned **in block order**.  The grid is a
+//!   constant chosen by the caller, never derived from the worker count,
 //!   and every per-device result is a pure function of the scenario, so
-//!   any worker count produces byte-identical reports — the guarantee CI
-//!   asserts at 10⁴ devices, 1 vs 8 workers.
+//!   any worker count produces byte-identical reports.  There are two
+//!   grids: [`BLOCK_SIZE`] for the streaming summary, whose ordered f64
+//!   partials make the grid part of the result, and the finer
+//!   [`REPORT_BLOCK_SIZE`] for materialised reports, which aggregate the
+//!   full device vector and so do not depend on the grid at all.
+//!
+//! - **Runtime reuse.**  Within a block, devices are grouped by firmware
+//!   configuration and the groups run in key order.  Fleet devices are
+//!   causally independent — no event ever crosses from one device to
+//!   another — so each device runs to completion and the order of groups
+//!   cannot change a result.  One booted runtime serves a whole group
+//!   through [`AmuletOs::reset`].
 //!
 //! - **Silent-device outcome cache.**  A mostly-idle fleet is dominated
 //!   by devices whose campaign trace is empty
@@ -45,29 +41,28 @@
 //!   through the content-addressable [`FirmwareStore`] — from memory,
 //!   from the cross-run on-disk cache, or by a fresh AFT build — and
 //!   runtimes share the image by reference.
+//!
+//! [`crate::simulate_device_at`] is the single-device reference the
+//! engine's grouping, runtime reuse and silent cache must match.
 
-use crate::run::{device_trace, simulate_device, DeviceResult};
+use crate::run::{device_trace, new_runtime, simulate_device, DeviceResult};
 use crate::scenario::{ConfigContext, DeviceConfig, FleetScenario};
 use crate::store::FirmwareStore;
-use amulet_os::events::DeliveryPolicy;
-use amulet_os::os::{AmuletOs, OsOptions};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use amulet_os::os::AmuletOs;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Devices per scheduling block.  Fixed — never derived from the worker
-/// count — so the block grid, and therefore every block-local decision,
-/// is identical no matter how many workers claim blocks.
+/// Devices per block of the streaming summary.  Its stepped folds sum
+/// idle energy, active time and virtual time as ordered per-block f64
+/// partials, so this grid is visible in the result and must never
+/// change: the pinned report digests depend on it.
 pub(crate) const BLOCK_SIZE: usize = 1024;
 
-/// A device waiting on the block's wake calendar.
-struct Pending {
-    cfg: DeviceConfig,
-    trace: Vec<amulet_apps::TraceEvent>,
-    /// Virtual time of the device's first wake (its first trace arrival);
-    /// `u64::MAX` for devices with no arrivals at all.
-    first_wake_ms: u64,
-}
+/// Devices per block of a materialised report.  The report aggregates
+/// the full, index-sorted device vector, so this grid is invisible in the
+/// result; it only has to be fine enough that a 10³-device fleet spreads
+/// over every worker.
+pub(crate) const REPORT_BLOCK_SIZE: usize = 64;
 
 /// Per-worker state that persists across the blocks a worker claims.
 struct Worker<'a> {
@@ -97,101 +92,47 @@ impl<'a> Worker<'a> {
     }
 
     fn runtime_for(&mut self, key: &str, cfg: &DeviceConfig) -> &mut AmuletOs {
-        let hit = matches!(&self.runtime, Some((k, _)) if k == key);
-        if !hit {
-            let firmware = self.store.get_or_build(key, cfg);
-            let os = AmuletOs::with_options_shared(
-                firmware,
-                OsOptions {
-                    sensor_seed: cfg.sensor_seed,
-                    delivery: DeliveryPolicy::PerEvent,
-                    ..OsOptions::default()
-                },
-            );
-            self.runtime = Some((key.to_string(), os));
+        if !matches!(&self.runtime, Some((k, _)) if k == key) {
+            self.runtime = Some((key.to_string(), new_runtime(self.store, key, cfg)));
         }
         &mut self.runtime.as_mut().expect("runtime just installed").1
     }
 
-    /// Simulates one pending device, probing or consulting the silent
-    /// cache as appropriate.
-    fn run_pending(&mut self, key: &str, p: &Pending) -> DeviceResult {
-        let scenario = self.scenario;
-        if p.cfg.silent_cacheable() {
-            // The cache may have been decided since the block was
-            // planned — by an earlier member of this very group.
+    /// Simulates one device, or serves it from the silent cache.  Only
+    /// trivially-silent devices are cache-eligible: the cache is keyed by
+    /// firmware config, and armed or OTA-swept devices can differ (fault
+    /// kind, OTA seed) while sharing an image.
+    fn run_device(&mut self, key: &str, cfg: &DeviceConfig) -> DeviceResult {
+        let cacheable = cfg.silent_cacheable();
+        if cacheable {
             if let Some(Some(template)) = self.silent_cache.get(key) {
                 let mut r = template.clone();
-                r.index = p.cfg.index;
+                r.index = cfg.index;
                 return r;
             }
-            let undecided = !self.silent_cache.contains_key(key);
-            let os = self.runtime_for(key, &p.cfg);
-            let sim = simulate_device(scenario, &p.cfg, os, &p.trace);
-            if undecided {
-                let template = (sim.sensor_draws == 0).then(|| sim.result.clone());
-                self.silent_cache.insert(key.to_string(), template);
-            }
-            sim.result
-        } else {
-            let os = self.runtime_for(key, &p.cfg);
-            simulate_device(scenario, &p.cfg, os, &p.trace).result
         }
+        let scenario = self.scenario;
+        let trace = device_trace(scenario, cfg);
+        let sim = simulate_device(scenario, cfg, self.runtime_for(key, cfg), &trace);
+        if cacheable && !self.silent_cache.contains_key(key) {
+            let template = (sim.sensor_draws == 0).then(|| sim.result.clone());
+            self.silent_cache.insert(key.to_string(), template);
+        }
+        sim.result
     }
 
-    /// Runs device indices `lo..hi` through the wake calendar and returns
-    /// their results sorted by device index.
+    /// Runs device indices `lo..hi`, grouped by firmware key in key
+    /// order, and returns their results sorted by device index.
     fn run_block(&mut self, lo: usize, hi: usize) -> Vec<DeviceResult> {
-        let mut results = Vec::with_capacity(hi - lo);
-        // Plan the block: derive configs, resolve trivially-cached silent
-        // devices immediately, queue the rest on the calendar grouped by
-        // firmware config.
-        let mut groups: BTreeMap<String, Vec<Pending>> = BTreeMap::new();
+        let mut groups: BTreeMap<String, Vec<DeviceConfig>> = BTreeMap::new();
         for index in lo..hi {
             let cfg = self.scenario.device_config_in(&self.ctx, index);
-            let key = cfg.firmware_key();
-            // Only trivially-silent devices are cache-eligible: the cache
-            // is keyed by firmware config, and armed or OTA-swept devices
-            // can differ (fault kind, OTA seed) while sharing an image.
-            if cfg.silent_cacheable() {
-                if let Some(Some(template)) = self.silent_cache.get(&key) {
-                    let mut r = template.clone();
-                    r.index = index;
-                    results.push(r);
-                    continue;
-                }
-                groups.entry(key).or_default().push(Pending {
-                    cfg,
-                    trace: Vec::new(),
-                    first_wake_ms: u64::MAX,
-                });
-            } else {
-                let trace = device_trace(self.scenario, &cfg);
-                let first_wake_ms = trace.first().map(|e| e.at_ms).unwrap_or(u64::MAX);
-                groups.entry(key).or_default().push(Pending {
-                    cfg,
-                    trace,
-                    first_wake_ms,
-                });
-            }
+            groups.entry(cfg.firmware_key()).or_default().push(cfg);
         }
-        // The calendar: groups keyed by their earliest member wake.
-        let mut calendar: BinaryHeap<Reverse<(u64, String)>> = groups
-            .iter()
-            .map(|(key, members)| {
-                let wake = members
-                    .iter()
-                    .map(|p| p.first_wake_ms)
-                    .min()
-                    .unwrap_or(u64::MAX);
-                Reverse((wake, key.clone()))
-            })
-            .collect();
-        while let Some(Reverse((_, key))) = calendar.pop() {
-            let mut members = groups.remove(&key).expect("group scheduled twice");
-            members.sort_by_key(|p| (p.first_wake_ms, p.cfg.index));
-            for p in &members {
-                results.push(self.run_pending(&key, p));
+        let mut results = Vec::with_capacity(hi - lo);
+        for (key, members) in &groups {
+            for cfg in members {
+                results.push(self.run_device(key, cfg));
             }
         }
         results.sort_by_key(|r| r.index);
@@ -199,22 +140,23 @@ impl<'a> Worker<'a> {
     }
 }
 
-/// Runs the scenario's device blocks across `workers` scoped threads and
-/// folds each finished block through `fold` on the worker that ran it;
-/// the folded values are returned **in block order** regardless of which
-/// worker claimed which block.  `fold` receives `(block_index, results)`
-/// with the results sorted by device index.
+/// Runs the scenario's devices in blocks of `block_size` across `workers`
+/// scoped threads and folds each finished block through `fold` on the
+/// worker that ran it; the folded values are returned **in block order**
+/// regardless of which worker claimed which block.  `fold` receives
+/// `(block_index, results)` with the results sorted by device index.
 pub(crate) fn collect_blocks_in<R, F>(
     scenario: &FleetScenario,
     workers: usize,
     store: &FirmwareStore,
+    block_size: usize,
     fold: F,
 ) -> Vec<R>
 where
     R: Send,
     F: Fn(usize, Vec<DeviceResult>) -> R + Sync,
 {
-    let blocks = scenario.devices.div_ceil(BLOCK_SIZE);
+    let blocks = scenario.devices.div_ceil(block_size);
     let workers = workers.max(1).min(blocks.max(1));
     let next = AtomicUsize::new(0);
     let mut tagged: Vec<(usize, R)> = Vec::with_capacity(blocks);
@@ -230,8 +172,8 @@ where
                     if block >= blocks {
                         break;
                     }
-                    let lo = block * BLOCK_SIZE;
-                    let hi = ((block + 1) * BLOCK_SIZE).min(scenario.devices);
+                    let lo = block * block_size;
+                    let hi = ((block + 1) * block_size).min(scenario.devices);
                     out.push((block, fold(block, worker.run_block(lo, hi))));
                 }
                 out
@@ -245,25 +187,25 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Materialises every device's result in device order — the
-/// discrete-event replacement for the linear walk's device vector — from
-/// a caller-held [`FirmwareStore`].
+/// Materialises every device's result in device order on the
+/// [`REPORT_BLOCK_SIZE`] grid, from a caller-held [`FirmwareStore`].
 pub(crate) fn simulate_devices_in(
     scenario: &FleetScenario,
     workers: usize,
     store: &FirmwareStore,
 ) -> Vec<DeviceResult> {
-    let blocks = collect_blocks_in(scenario, workers, store, |_, results| results);
-    let mut devices = Vec::with_capacity(scenario.devices);
-    for block in blocks {
-        devices.extend(block);
-    }
-    devices
+    collect_blocks_in(scenario, workers, store, REPORT_BLOCK_SIZE, |_, results| {
+        results
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::simulate_device_at;
     use crate::scenario::TimeMode;
 
     /// A mostly-silent stepped fleet drawn from the **full** catalogue,
@@ -302,8 +244,8 @@ mod tests {
         );
 
         // A refusal is a promise of individual simulation, never a wrong
-        // reuse: every silent device of a refused config must match a
-        // fresh single-device oracle bit for bit, and the probe's grounds
+        // reuse: every silent device of a refused config must match the
+        // single-device reference bit for bit, and the probe's grounds
         // (sensor draws > 0) must hold.
         let ctx = ConfigContext::new();
         let mut checked = 0;
@@ -313,21 +255,16 @@ mod tests {
             if !cfg.silent || !refused.contains(&key) {
                 continue;
             }
-            let firmware = store.get_or_build(&key, &cfg);
-            let mut os = AmuletOs::with_options_shared(
-                firmware,
-                OsOptions {
-                    sensor_seed: cfg.sensor_seed,
-                    delivery: DeliveryPolicy::PerEvent,
-                    ..OsOptions::default()
-                },
-            );
-            let oracle = simulate_device(&scenario, &cfg, &mut os, &[]);
+            let mut os = new_runtime(&store, &key, &cfg);
             assert!(
-                oracle.sensor_draws > 0,
+                simulate_device(&scenario, &cfg, &mut os, &[]).sensor_draws > 0,
                 "config {key} was refused, so its silent run must draw sensors"
             );
-            assert_eq!(*block_result, oracle.result, "device {index}");
+            assert_eq!(
+                *block_result,
+                simulate_device_at(&scenario, &store, index),
+                "device {index}"
+            );
             checked += 1;
         }
         assert!(

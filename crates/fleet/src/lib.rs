@@ -28,14 +28,14 @@
 //! Determinism is a hard guarantee: the report (aggregates included) is a
 //! pure function of the scenario, regardless of worker count or machine.
 //!
-//! Stepped scenarios run on the **discrete-event wake calendar**
-//! (`calendar` module): devices are sharded into fixed blocks that
-//! workers claim from a shared counter, each block's devices wake in
-//! next-event order, silent devices are served from a provably-sound
+//! Both time modes run on one **block engine** (`calendar` module):
+//! devices are sharded into fixed blocks that workers claim from a shared
+//! counter, each block's devices run grouped by firmware configuration on
+//! one reused runtime, silent devices are served from a provably-sound
 //! per-config outcome cache, and results merge in block order — which is
-//! how 10⁵–10⁶-device campaigns stay tractable.  [`simulate_linear`]
-//! keeps the original linear walk as the property-tested oracle, and
-//! [`simulate_summary`] runs whole campaigns without materialising
+//! how 10⁵–10⁶-device campaigns stay tractable.  [`simulate_device_at`]
+//! is the single-device reference the engine is property-tested against,
+//! and [`simulate_summary`] runs whole campaigns without materialising
 //! per-device results (streaming aggregation, bounded memory).
 //!
 //! ```
@@ -67,9 +67,9 @@ pub mod store;
 
 pub use faults::{FaultProbe, OtaOutcome, Verdict};
 pub use run::{
-    simulate, simulate_in, simulate_linear, simulate_linear_in, simulate_summary,
-    simulate_summary_in, verify_fleet, verify_fleet_reports, DeviceResult, FleetReport,
-    FleetSummary, FleetVerifySummary, PolicyOutcome,
+    simulate, simulate_device_at, simulate_in, simulate_summary, simulate_summary_in, verify_fleet,
+    verify_fleet_reports, DeviceResult, FleetReport, FleetSummary, FleetVerifySummary,
+    PolicyOutcome,
 };
 pub use scenario::{ConfigContext, DeviceConfig, FleetScenario, TimeMode};
 pub use stats::{

@@ -1,7 +1,12 @@
-//! The fleet runner: builds firmware once per distinct configuration,
-//! fans the devices out across `std::thread::scope` workers, and reduces
-//! the per-device results in device order so the report is identical for
-//! every worker count.
+//! The fleet runner's public entry points and the per-device simulation
+//! they share.
+//!
+//! `simulate_device` runs one device's two delivery legs on a (possibly
+//! reused) runtime; the block engine (`calendar` module) fans the devices
+//! out across `std::thread::scope` workers, and the results are reduced
+//! in device order so the report is identical for every worker count.
+//! [`simulate_device_at`] is the single-device reference the engine is
+//! tested against.
 
 use crate::scenario::{DeviceConfig, FleetScenario, TimeMode};
 use crate::stats::{aggregate, FleetAggregate};
@@ -13,7 +18,6 @@ use amulet_core::method::IsolationMethod;
 use amulet_mcu::firmware::Firmware;
 use amulet_os::events::{DeliveryPolicy, Event, EventKind};
 use amulet_os::os::{AmuletOs, OsOptions};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// What one device did under one delivery policy.
@@ -289,7 +293,7 @@ pub(crate) fn device_trace(
     }
 }
 
-/// A [`DeviceResult`] plus the evidence the discrete-event runner's
+/// A [`DeviceResult`] plus the evidence the block engine's silent-device
 /// outcome cache needs: how many sensor-model reads the two legs
 /// performed in total.  The sensor seed can only influence a run through
 /// a read (every sensor-backed syscall advances the model), so
@@ -452,11 +456,10 @@ pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig) -> Arc<Firmware> {
 }
 
 /// Fans `items` out across up to `workers` scoped threads in contiguous
-/// chunks and concatenates each chunk's results in chunk order — the one
-/// parallel-map shape both the firmware builds and the device simulation
-/// use.  `f` must be a pure function of its chunk for the result to be
-/// independent of the worker count (both call sites are; the worker-count
-/// determinism test pins this down end to end).
+/// chunks and concatenates each chunk's results in chunk order.  Its one
+/// caller is [`verify_fleet_reports`], whose per-image verification is a
+/// pure function of its chunk, so the result is independent of the worker
+/// count.
 fn par_map_chunks<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -479,49 +482,44 @@ where
     out
 }
 
-/// Materialises every distinct firmware image the fleet needs, exactly
-/// once, through the given [`FirmwareStore`] (memory, cross-run disk
-/// cache, or a fresh AFT build), fanning the work out across `workers`
-/// scoped threads.
+/// A fresh runtime booted from `cfg`'s firmware image, fetched from (or
+/// built into) `store` under `key`.
+pub(crate) fn new_runtime(store: &FirmwareStore, key: &str, cfg: &DeviceConfig) -> AmuletOs {
+    AmuletOs::with_options_shared(
+        store.get_or_build(key, cfg),
+        OsOptions {
+            sensor_seed: cfg.sensor_seed,
+            delivery: DeliveryPolicy::PerEvent,
+            ..OsOptions::default()
+        },
+    )
+}
+
+/// The single-device reference: device `index` of `scenario`, simulated
+/// on a fresh runtime with no runtime reuse and no silent-device cache.
 ///
-/// Distinct configurations are collected in config order, partitioned into
-/// contiguous chunks, materialised in parallel, and merged back in config
-/// order — each image is a pure function of its configuration, so the
-/// resulting cache is identical for every worker count and every store
-/// state.
-fn build_firmware_cache(
-    configs: &[DeviceConfig],
-    workers: usize,
+/// This is the definition the fleet engine must match bit for bit —
+/// whatever grouping, runtime reuse or cached outcome served a device in
+/// [`simulate`] or [`simulate_summary`], its [`DeviceResult`] equals this
+/// one.
+pub fn simulate_device_at(
+    scenario: &FleetScenario,
     store: &FirmwareStore,
-) -> BTreeMap<String, Arc<Firmware>> {
-    let mut distinct: Vec<(String, &DeviceConfig)> = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    for cfg in configs {
-        let key = cfg.firmware_key();
-        if seen.insert(key.clone()) {
-            distinct.push((key, cfg));
-        }
-    }
-    par_map_chunks(&distinct, workers, |part| {
-        part.iter()
-            .map(|(key, cfg)| (key.clone(), store.get_or_build(key, cfg)))
-            .collect()
-    })
-    .into_iter()
-    .collect()
+    index: usize,
+) -> DeviceResult {
+    let cfg = scenario.device_config(index);
+    let key = cfg.firmware_key();
+    let mut os = new_runtime(store, &key, &cfg);
+    let trace = device_trace(scenario, &cfg);
+    simulate_device(scenario, &cfg, &mut os, &trace).result
 }
 
 /// Runs the whole scenario on `workers` threads.
 ///
 /// Determinism guarantee: every field of the returned [`FleetReport`]
-/// except `workers` is a pure function of the scenario.
-///
-/// [`TimeMode::ArrivalOrder`] scenarios run the linear walk
-/// ([`simulate_linear`]); [`TimeMode::Stepped`] scenarios run the
-/// discrete-event wake calendar, which produces
-/// bit-identical `DeviceResult`s (the equivalence property test pins
-/// this) while skipping the devices that are asleep — the fleet's
-/// dominant state.
+/// except `workers` is a pure function of the scenario.  Both time modes
+/// run on the block engine; each device's result equals
+/// [`simulate_device_at`]'s.
 pub fn simulate(scenario: &FleetScenario, workers: usize) -> FleetReport {
     let store = FirmwareStore::for_scenario(scenario);
     simulate_in(scenario, workers, &store)
@@ -531,18 +529,13 @@ pub fn simulate(scenario: &FleetScenario, workers: usize) -> FleetReport {
 /// results (the store is a pure cache), with the store's hit/build
 /// statistics left readable by the caller afterwards.
 pub fn simulate_in(scenario: &FleetScenario, workers: usize, store: &FirmwareStore) -> FleetReport {
-    match scenario.time_mode {
-        TimeMode::ArrivalOrder => simulate_linear_in(scenario, workers, store),
-        TimeMode::Stepped => {
-            let devices = crate::calendar::simulate_devices_in(scenario, workers, store);
-            let aggregate = aggregate(&devices);
-            FleetReport {
-                scenario: scenario.clone(),
-                workers: workers.max(1).min(scenario.devices.max(1)),
-                devices,
-                aggregate,
-            }
-        }
+    let devices = crate::calendar::simulate_devices_in(scenario, workers, store);
+    let aggregate = aggregate(&devices);
+    FleetReport {
+        scenario: scenario.clone(),
+        workers: workers.max(1).min(scenario.devices.max(1)),
+        devices,
+        aggregate,
     }
 }
 
@@ -561,12 +554,12 @@ pub struct FleetSummary {
     pub aggregate: FleetAggregate,
 }
 
-/// Runs the whole scenario on `workers` threads through the
-/// discrete-event calendar and streaming aggregation, materialising block
-/// summaries instead of per-device results.  Works in both time modes.
+/// Runs the whole scenario on `workers` threads through the block engine
+/// and streaming aggregation, materialising block summaries instead of
+/// per-device results.  Works in both time modes.
 ///
-/// For fleets that fit one scheduling block (and whose latency-sample
-/// count fits the sketch) the aggregate is identical to
+/// For fleets that fit one 1024-device summary block (and whose
+/// latency-sample count fits the sketch) the aggregate is identical to
 /// [`simulate`]'s; beyond that, delivery-latency mean/p50/p99 become
 /// deterministic uniform-sample estimates (see
 /// [`crate::stats::BlockSummary`]) while every other field stays exact.
@@ -582,80 +575,17 @@ pub fn simulate_summary_in(
     workers: usize,
     store: &FirmwareStore,
 ) -> FleetSummary {
-    let blocks = crate::calendar::collect_blocks_in(scenario, workers, store, |_, devices| {
-        crate::stats::BlockSummary::from_devices(&devices)
-    });
+    let blocks = crate::calendar::collect_blocks_in(
+        scenario,
+        workers,
+        store,
+        crate::calendar::BLOCK_SIZE,
+        |_, devices| crate::stats::BlockSummary::from_devices(&devices),
+    );
     FleetSummary {
         scenario: scenario.clone(),
         workers: workers.max(1).min(scenario.devices.max(1)),
         aggregate: crate::stats::reduce_blocks(&blocks),
-    }
-}
-
-/// The original linear walk: every device's trace is replayed
-/// front-to-back, devices are partitioned into contiguous index ranges,
-/// and both the result vector and the aggregate reduction are assembled
-/// in device order on the calling thread.  Kept (and exported) as the
-/// reference oracle the discrete-event runner is property-tested against,
-/// and as the baseline the scaling bench extrapolates from.
-pub fn simulate_linear(scenario: &FleetScenario, workers: usize) -> FleetReport {
-    let store = FirmwareStore::for_scenario(scenario);
-    simulate_linear_in(scenario, workers, &store)
-}
-
-/// [`simulate_linear`] against a caller-held [`FirmwareStore`] (see
-/// [`simulate_in`]).
-pub fn simulate_linear_in(
-    scenario: &FleetScenario,
-    workers: usize,
-    store: &FirmwareStore,
-) -> FleetReport {
-    let configs: Vec<DeviceConfig> = (0..scenario.devices)
-        .map(|i| scenario.device_config(i))
-        .collect();
-    let cache = build_firmware_cache(&configs, workers, store);
-
-    let workers = workers.max(1).min(configs.len().max(1));
-    let mut devices = par_map_chunks(&configs, workers, |part| {
-        // Process the worker's devices grouped by firmware configuration
-        // so one booted runtime (device memory, decoded instruction store,
-        // attribute tables) is reused — via `AmuletOs::reset` — across
-        // every device of a group.  Per-device results are independent of
-        // the grouping (reset restores power-on state exactly), and the
-        // caller re-sorts by device index, so the report is unchanged.
-        let mut grouped: Vec<(String, &DeviceConfig)> =
-            part.iter().map(|cfg| (cfg.firmware_key(), cfg)).collect();
-        grouped.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.index.cmp(&b.1.index)));
-        let mut results = Vec::with_capacity(part.len());
-        let mut sim: Option<(String, AmuletOs)> = None;
-        for (key, cfg) in grouped {
-            let os = match &mut sim {
-                Some((k, os)) if *k == key => os,
-                _ => {
-                    let fresh = AmuletOs::with_options_shared(
-                        Arc::clone(&cache[&key]),
-                        OsOptions {
-                            sensor_seed: cfg.sensor_seed,
-                            delivery: DeliveryPolicy::PerEvent,
-                            ..OsOptions::default()
-                        },
-                    );
-                    &mut sim.insert((key, fresh)).1
-                }
-            };
-            let trace = device_trace(scenario, cfg);
-            results.push(simulate_device(scenario, cfg, os, &trace).result);
-        }
-        results
-    });
-    devices.sort_by_key(|d| d.index);
-
-    let aggregate = aggregate(&devices);
-    FleetReport {
-        scenario: scenario.clone(),
-        workers,
-        devices,
-        aggregate,
     }
 }
 
@@ -818,12 +748,30 @@ mod tests {
         assert!(report.aggregate.switch_cycles_saved_percent > 0.0);
     }
 
+    /// A fleet that spans at least three report blocks, so a multi-worker
+    /// run really splits it, and 2 workers each claim more than one block.
+    fn multi_block(time_mode: TimeMode) -> FleetScenario {
+        let scenario = FleetScenario {
+            devices: 200,
+            time_mode,
+            ..small()
+        };
+        let blocks = scenario
+            .devices
+            .div_ceil(crate::calendar::REPORT_BLOCK_SIZE);
+        assert!(blocks >= 3, "the fleet spans only {blocks} report blocks");
+        scenario
+    }
+
     #[test]
     fn worker_count_does_not_change_the_report() {
-        let a = simulate(&small(), 1);
-        let b = simulate(&small(), 8);
-        assert_eq!(a.devices, b.devices);
-        assert_eq!(a.aggregate, b.aggregate);
+        let scenario = multi_block(TimeMode::ArrivalOrder);
+        let a = simulate(&scenario, 1);
+        for workers in [2, 8] {
+            let b = simulate(&scenario, workers);
+            assert_eq!(a.devices, b.devices, "{workers} workers");
+            assert_eq!(a.aggregate, b.aggregate, "{workers} workers");
+        }
     }
 
     fn small_stepped() -> FleetScenario {
@@ -883,10 +831,13 @@ mod tests {
 
     #[test]
     fn stepped_mode_is_deterministic_across_worker_counts() {
-        let a = simulate(&small_stepped(), 1);
-        let b = simulate(&small_stepped(), 8);
-        assert_eq!(a.devices, b.devices);
-        assert_eq!(a.aggregate, b.aggregate);
+        let scenario = multi_block(TimeMode::Stepped);
+        let a = simulate(&scenario, 1);
+        for workers in [2, 8] {
+            let b = simulate(&scenario, workers);
+            assert_eq!(a.devices, b.devices, "{workers} workers");
+            assert_eq!(a.aggregate, b.aggregate, "{workers} workers");
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub struct FleetScenario {
     /// (no sensor wore, no subscription fired): a realistic fleet is
     /// mostly idle.  Silent devices still boot, arm their timers and
     /// subscriptions, and pay the final batch flush — they are simulated,
-    /// not skipped — but the discrete-event runner can serve them from a
+    /// not skipped — but the fleet's block engine can serve them from a
     /// per-config outcome cache when the run provably never samples the
     /// device's seeded sensors.  `0` (the default) reproduces every
     /// historical report byte for byte.
@@ -222,7 +222,7 @@ impl DeviceConfig {
         )
     }
 
-    /// Whether the discrete-event runner may serve this device from the
+    /// Whether the fleet's block engine may serve this device from the
     /// per-config silent-outcome cache.  The cache is keyed by firmware
     /// key, and two armed devices sharing an image can still differ in
     /// fault kind (every wild write is one app) or OTA seed — so faulted
@@ -398,7 +398,7 @@ impl FleetScenario {
     /// subscription-only window of the catalogue — FallDetection, HR,
     /// HRLog, Pedometer — whose `main` handlers only subscribe, so a
     /// silent device's whole run provably never touches the seeded
-    /// sensors and the discrete-event runner may reuse one simulated
+    /// sensors and the fleet's block engine may reuse one simulated
     /// outcome per firmware config.
     pub fn scaling(devices: usize) -> Self {
         FleetScenario {

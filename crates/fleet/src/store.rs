@@ -1,8 +1,8 @@
 //! The content-addressable firmware store: a cross-run cache of built
 //! firmware images.
 //!
-//! PR 6's wake calendar made the discrete-event core fast enough that
-//! AFT firmware builds (compile + link + MPU planning) dominate a
+//! The fleet's block engine simulates mostly-silent devices fast enough
+//! that AFT firmware builds (compile + link + MPU planning) dominate a
 //! campaign's cold start — and they were redone on every process start.
 //! This store persists each distinct image once, keyed by a stable
 //! content address derived from everything that determines the build:
@@ -21,12 +21,12 @@
 //! that fails any of these checks is treated as a miss and rebuilt over;
 //! corruption can cost time, never correctness.
 //!
-//! In memory the store is exactly the process-wide map the calendar
-//! already used: one `Arc<Firmware>` per distinct key, shared by every
-//! runtime booted for that configuration, with builds performed outside
-//! the lock (a racing duplicate build produces an identical image and is
-//! dropped).  A FIFO eviction bound keeps pathological many-config runs
-//! from holding every image alive at once.
+//! In memory the store is a process-wide map: one `Arc<Firmware>` per
+//! distinct key, shared by every runtime booted for that configuration,
+//! with builds performed outside the lock (a racing duplicate build
+//! produces an identical image and is dropped).  A FIFO eviction bound
+//! keeps pathological many-config runs from holding every image alive at
+//! once.
 //!
 //! **Paranoid mode** ([`FleetScenario::paranoid`], `fleet_sim
 //! --paranoid`, run by CI) rebuilds every disk hit from source and

@@ -287,13 +287,17 @@ fn static_verifier_cross_validates_the_dynamic_matrix() {
 
 #[test]
 fn storm_devices_match_the_linear_oracle() {
-    // The discrete-event calendar and the linear walk must agree on every
-    // armed device, probes and OTA outcomes included.
+    // The block engine and the single-device reference, walked in index
+    // order, must agree on every armed device, probes and OTA outcomes
+    // included.
     let scenario = FleetScenario::storm(80);
     let calendar = amulet_fleet::simulate(&scenario, 4);
-    let linear = amulet_fleet::simulate_linear(&scenario, 4);
-    assert_eq!(calendar.devices, linear.devices);
-    assert_eq!(calendar.aggregate, linear.aggregate);
+    let store = amulet_fleet::FirmwareStore::for_scenario(&scenario);
+    let linear: Vec<_> = (0..scenario.devices)
+        .map(|index| amulet_fleet::simulate_device_at(&scenario, &store, index))
+        .collect();
+    assert_eq!(calendar.aggregate, amulet_fleet::stats::aggregate(&linear));
+    assert_eq!(calendar.devices, linear);
     assert!(calendar.devices.iter().any(|d| d.fault.is_some()));
     assert!(calendar.devices.iter().any(|d| d.ota.is_some()));
 }

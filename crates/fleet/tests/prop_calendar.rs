@@ -1,10 +1,15 @@
-//! Property tests for the discrete-event fleet core: the wake-calendar
-//! runner must be **bit-identical** to the original linear stepped walk —
-//! the oracle pattern that made the attribute cache and the NAPOT solver
+//! Property tests for the fleet's block engine: every device it runs
+//! must be **bit-identical** to the single-device reference
+//! [`simulate_device_at`] walked over the fleet in index order — the
+//! oracle pattern that made the attribute cache and the NAPOT solver
 //! safe — and the streaming block aggregation must reproduce the exact
 //! reduction at small N, delivery-latency percentiles included.
 
-use amulet_fleet::{simulate, simulate_linear, simulate_summary, FleetScenario, TimeMode};
+use amulet_fleet::stats::aggregate;
+use amulet_fleet::{
+    simulate, simulate_device_at, simulate_summary, DeviceResult, FirmwareStore, FleetScenario,
+    TimeMode,
+};
 use proptest::prelude::*;
 
 fn stepped(seed: u64, devices: usize, events: usize) -> FleetScenario {
@@ -17,19 +22,28 @@ fn stepped(seed: u64, devices: usize, events: usize) -> FleetScenario {
     }
 }
 
-/// All five platform profiles at 64 devices under the default seed — the
-/// deterministic anchor case the issue calls out (≤64 devices, every
-/// profile), checked bit for bit against the linear oracle.
+/// The linear walk the engine is checked against: every device simulated
+/// on its own fresh runtime, in index order, with no reuse and no cache.
+fn linear_walk(sc: &FleetScenario) -> Vec<DeviceResult> {
+    let store = FirmwareStore::for_scenario(sc);
+    (0..sc.devices)
+        .map(|index| simulate_device_at(sc, &store, index))
+        .collect()
+}
+
+/// All five platform profiles at 64 devices under the default seed — a
+/// deterministic anchor case (≤64 devices, every profile), checked bit
+/// for bit against the linear walk.
 #[test]
 fn calendar_matches_linear_oracle_on_all_five_platforms() {
     let sc = stepped(FleetScenario::default().seed, 64, 20);
     let des = simulate(&sc, 4);
-    let linear = simulate_linear(&sc, 4);
+    let linear = linear_walk(&sc);
     let platforms: std::collections::BTreeSet<_> =
         des.devices.iter().map(|d| d.platform.clone()).collect();
     assert_eq!(platforms.len(), 5, "64 devices span all five profiles");
-    assert_eq!(des.devices, linear.devices);
-    assert_eq!(des.aggregate, linear.aggregate);
+    assert_eq!(des.aggregate, aggregate(&linear));
+    assert_eq!(des.devices, linear);
 }
 
 /// Truncation semantics: a per-event leg never defers deliveries past the
@@ -71,27 +85,33 @@ proptest! {
     // keeps the suite fast while still roaming the seed space.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The tentpole oracle: for any seed, size and knob setting — silent
-    /// devices and catalogue windows included — the discrete-event
-    /// stepped runner produces the same `DeviceResult`s, bit for bit, as
-    /// the linear stepped walk.
+    /// The engine oracle: for any seed, size, time mode and knob setting
+    /// — silent devices and catalogue windows included, fleets spanning
+    /// several report blocks on 3 workers — the block engine produces the
+    /// same `DeviceResult`s, bit for bit, as the linear walk.
     #[test]
     fn calendar_is_bit_identical_to_the_linear_walk(
         seed in 0u64..1_000_000,
-        devices in 3usize..32,
+        devices in 3usize..200,
         events in 4usize..16,
+        arrival_order in any::<bool>(),
         silent_permille in prop_oneof![Just(0u16), Just(500u16), Just(800u16)],
         windowed in any::<bool>(),
     ) {
         let sc = FleetScenario {
+            time_mode: if arrival_order {
+                TimeMode::ArrivalOrder
+            } else {
+                TimeMode::Stepped
+            },
             silent_permille,
             catalog_window: windowed.then_some((2, 4)),
             ..stepped(seed, devices, events)
         };
         let des = simulate(&sc, 3);
-        let linear = simulate_linear(&sc, 3);
-        prop_assert_eq!(des.devices, linear.devices);
-        prop_assert_eq!(des.aggregate, linear.aggregate);
+        let linear = linear_walk(&sc);
+        prop_assert_eq!(des.aggregate, aggregate(&linear));
+        prop_assert_eq!(des.devices, linear);
     }
 
     /// The streaming reduction: block summaries folded on the workers
