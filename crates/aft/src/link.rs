@@ -59,7 +59,8 @@ pub struct AppLinkInfo {
     /// Total compiler-inserted checks by kind.
     pub inserted_checks: BTreeMap<String, u32>,
     /// Every inserted check sequence at its final absolute address, in
-    /// ascending address order — the static verifier's elision input.
+    /// ascending address order — the static verifier's input for
+    /// certifying redundant checks.
     pub check_sites: Vec<CheckSite>,
 }
 

@@ -47,8 +47,7 @@
 //! * `--verify` gates every firmware image through the `amulet-verify`
 //!   static analyser before it enters the fleet (a proven-escape image
 //!   aborts the run) and attaches a `verifier` section with the fleet's
-//!   verdict counters.  `--elide-checks` deploys images rewritten through
-//!   check elision — outcome-identical, fewer retired instructions.
+//!   verdict counters.
 
 use amulet_bench::fleet_sim::{
     containment_json, ota_wave_json, render_document, render_document_with, store_stats_json,
@@ -64,7 +63,7 @@ const USAGE: &str = "usage: fleet_sim [--devices N] [--workers N] [--events N] [
      [--silent-permille N] [--preset scaling|storm] [--fault-permille N] [--ota-permille N] \
      [--ota-corrupt-permille N] [--ota-max-retries N] [--step-budget N] [--summary] \
      [--no-write] [--scaling] [--store DIR] [--no-store] [--paranoid] [--store-cap-bytes N] \
-     [--report-out FILE] [--verify] [--elide-checks]";
+     [--report-out FILE] [--verify]";
 
 /// Everything the command line can ask for, before it is resolved into a
 /// scenario.
@@ -93,7 +92,6 @@ struct Cli {
     store_cap_bytes: Option<u64>,
     report_out: Option<PathBuf>,
     verify: bool,
-    elide_checks: bool,
 }
 
 fn fail(msg: &str) -> ! {
@@ -150,7 +148,6 @@ fn parse(args: impl Iterator<Item = String>) -> Cli {
             "--paranoid" => cli.paranoid = true,
             "--report-out" => cli.report_out = Some(PathBuf::from(value("--report-out", &mut it))),
             "--verify" => cli.verify = true,
-            "--elide-checks" => cli.elide_checks = true,
             flag if flag.starts_with("--") => fail(&format!("unknown flag {flag:?}")),
             word => fail(&format!("unexpected argument {word:?}")),
         }
@@ -241,7 +238,6 @@ fn scenario_from(cli: &Cli) -> (FleetScenario, usize) {
     scenario.paranoid = cli.paranoid;
     scenario.store_cap_bytes = cli.store_cap_bytes;
     scenario.verify = cli.verify;
-    scenario.elide_checks = cli.elide_checks;
     let workers = cli.workers.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())

@@ -126,12 +126,9 @@ pub fn render_document_with(
             .field("ota_corrupt_permille", u64::from(s.ota_corrupt_permille))
             .field("ota_max_retries", u64::from(s.ota_max_retries));
     }
-    // Static-verification knobs, same armed-only rule.
+    // The static-verification knob, same armed-only rule.
     if s.verify {
         scenario = scenario.field("verify", Json::Bool(true));
-    }
-    if s.elide_checks {
-        scenario = scenario.field("elide_checks", Json::Bool(true));
     }
 
     let policy = |p: &amulet_fleet::PolicyAggregate| {
@@ -419,7 +416,6 @@ mod tests {
             "containment",
             "ota_wave",
             "\"verify\"",
-            "elide_checks",
             "\"verifier\"",
         ] {
             assert!(!text.contains(absent), "{absent} leaked into arrival-order");
@@ -430,7 +426,6 @@ mod tests {
     fn verifier_knobs_and_section_render_only_when_armed() {
         let scenario = FleetScenario {
             verify: true,
-            elide_checks: true,
             ..tiny()
         };
         let report = simulate(&scenario, 2);
@@ -446,7 +441,6 @@ mod tests {
         );
         for needle in [
             "\"verify\": true",
-            "\"elide_checks\": true",
             "\"verifier\"",
             "\"passes_gate\": true",
             "\"proven_escape\": 0",

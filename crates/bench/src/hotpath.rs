@@ -18,19 +18,13 @@
 //!   history.
 
 use crate::json::Json;
-use amulet_aft::aft::Aft;
-use amulet_core::energy::EnergyModel;
-use amulet_core::method::IsolationMethod;
 use amulet_core::perm::AccessKind;
 use amulet_fleet::{simulate, FleetScenario};
 use amulet_mcu::code::InstrStore;
 use amulet_mcu::cpu::StepEvent;
 use amulet_mcu::device::{Device, StopReason};
-use amulet_mcu::firmware::Firmware;
 use amulet_mcu::isa::{AluOp, Instr, Reg, Width};
 use amulet_mcu::mpu::{MPUCTL0, MPUSAM, MPUSEGB1, MPUSEGB2};
-use amulet_os::events::{Event, EventKind};
-use amulet_os::os::AmuletOs;
 use std::time::Instant;
 
 /// The `fleet_sim` devices/second measured immediately **before** the
@@ -193,161 +187,6 @@ pub fn verify_equivalence(steps: u64) -> bool {
         && cached.bus.stats == direct.bus.stats
 }
 
-/// Elision counts for one isolation method on the paper's platform.
-#[derive(Clone, Debug)]
-pub struct ElisionCount {
-    /// Isolation method label.
-    pub method: String,
-    /// Checks the verifier certified redundant and elided.
-    pub elided: usize,
-    /// Elidable-kind checks the compiler emitted.
-    pub candidates: usize,
-}
-
-/// One measured run of the check-heavy catalogue workload.
-#[derive(Clone, Copy, Debug)]
-pub struct ElisionRun {
-    /// Instructions the simulated CPU retired.
-    pub instructions: u64,
-    /// Simulated cycles consumed (identical across elided/unelided by
-    /// construction — elision fillers are cycle-neutral).
-    pub total_cycles: u64,
-    /// Energy in joules (a pure function of cycles).
-    pub energy_joules: f64,
-    /// Faults raised.
-    pub faults: u64,
-    /// Host wall-clock seconds.
-    pub wall_seconds: f64,
-    /// Retired instructions per wall-clock second.
-    pub instr_per_second: f64,
-    /// Simulated cycles per wall-clock second — the comparable
-    /// throughput metric, since both images consume identical cycles.
-    pub cycles_per_second: f64,
-}
-
-/// The check-elision measurement: per-method elision counts plus the
-/// Software-Only catalogue driven with and without elision.
-#[derive(Clone, Debug)]
-pub struct ElisionBench {
-    /// Elided/candidate counts per isolation method (fr5969 catalogue).
-    pub profiles: Vec<ElisionCount>,
-    /// Event rounds driven through each image (one event per app per
-    /// round).
-    pub rounds: usize,
-    /// The unelided (oracle) run.
-    pub unelided: ElisionRun,
-    /// The elided run.
-    pub elided: ElisionRun,
-    /// Whether cycles, energy, faults and log agreed between the runs —
-    /// the elision soundness bit, asserted before the numbers are
-    /// trusted.
-    pub outcomes_identical: bool,
-}
-
-impl ElisionBench {
-    /// Share of retired instructions elision removed, in percent.
-    pub fn instr_retired_drop_percent(&self) -> f64 {
-        let (b, e) = (self.unelided.instructions, self.elided.instructions);
-        if b == 0 {
-            0.0
-        } else {
-            100.0 * (b.saturating_sub(e)) as f64 / b as f64
-        }
-    }
-
-    /// Wall-clock speedup of the elided image on the same workload.
-    pub fn workload_speedup(&self) -> f64 {
-        self.unelided.wall_seconds / self.elided.wall_seconds.max(1e-9)
-    }
-}
-
-/// Drives `rounds` rounds of one event per catalogue app (each app's
-/// dominant handler, varying payloads) through a booted image and
-/// reports the run's counters.  Returns the run plus the service-log
-/// length used for the outcome comparison.
-fn drive_catalogue(firmware: &Firmware, rounds: usize) -> (ElisionRun, usize) {
-    let apps = amulet_apps::catalog();
-    let energy = EnergyModel::msp430fr5969();
-    let mut os = AmuletOs::new(firmware.clone());
-    let started = Instant::now();
-    os.boot();
-    for round in 0..rounds {
-        for (index, app) in apps.iter().enumerate() {
-            let payload = ((round * 37 + index * 11) % 97) as u16;
-            os.post_event(Event::new(
-                index,
-                app.dominant_handler().0,
-                payload,
-                EventKind::User,
-            ));
-            os.pump();
-        }
-    }
-    os.flush();
-    let wall = started.elapsed().as_secs_f64();
-    let stats = os.cpu_stats();
-    let cycles = os.total_cycles();
-    (
-        ElisionRun {
-            instructions: stats.instructions,
-            total_cycles: cycles,
-            energy_joules: energy.cycles_to_joules(cycles),
-            faults: stats.faults,
-            wall_seconds: wall,
-            instr_per_second: stats.instructions as f64 / wall.max(1e-9),
-            cycles_per_second: cycles as f64 / wall.max(1e-9),
-        },
-        os.services.log.len(),
-    )
-}
-
-/// Runs the check-elision bench: counts elided checks per isolation
-/// method, then drives the check-heavy Software-Only catalogue for
-/// `rounds` event rounds on the unelided and the elided image.
-pub fn run_check_elision(rounds: usize) -> ElisionBench {
-    let build = |method: IsolationMethod| {
-        let mut aft = Aft::new(method);
-        for app in amulet_apps::catalog() {
-            aft = aft.add_app(app.app_source());
-        }
-        aft.build()
-            .unwrap_or_else(|e| panic!("catalogue build {method}: {e}"))
-    };
-    let mut profiles = Vec::new();
-    let mut software_only = None;
-    for method in [
-        IsolationMethod::NoIsolation,
-        IsolationMethod::FeatureLimited,
-        IsolationMethod::Mpu,
-        IsolationMethod::SoftwareOnly,
-    ] {
-        let out = build(method);
-        let outcome = amulet_verify::elide_checks(&out);
-        profiles.push(ElisionCount {
-            method: method.to_string(),
-            elided: outcome.elided,
-            candidates: outcome.candidates,
-        });
-        if method == IsolationMethod::SoftwareOnly {
-            software_only = Some((out.firmware, outcome.firmware));
-        }
-    }
-    let (unelided_fw, elided_fw) = software_only.expect("Software-Only profile measured");
-    let (unelided, base_log) = drive_catalogue(&unelided_fw, rounds);
-    let (elided, fast_log) = drive_catalogue(&elided_fw, rounds);
-    let outcomes_identical = unelided.total_cycles == elided.total_cycles
-        && unelided.energy_joules == elided.energy_joules
-        && unelided.faults == elided.faults
-        && base_log == fast_log;
-    ElisionBench {
-        profiles,
-        rounds,
-        unelided,
-        elided,
-        outcomes_identical,
-    }
-}
-
 /// Runs a fleet scenario and reports wall-clock throughput.
 pub fn run_fleet(devices: usize, events_per_device: usize, workers: usize) -> FleetThroughput {
     let scenario = FleetScenario {
@@ -373,18 +212,7 @@ pub fn render_json(
     micro_cached: &MicrobenchResult,
     micro_direct: &MicrobenchResult,
     fleet: &FleetThroughput,
-    elision: &ElisionBench,
 ) -> String {
-    let elision_run = |r: &ElisionRun| {
-        Json::obj()
-            .field("instructions", r.instructions)
-            .field("total_cycles", r.total_cycles)
-            .field("energy_joules", r.energy_joules)
-            .field("faults", r.faults)
-            .field("wall_seconds", r.wall_seconds)
-            .field("instr_per_second", r.instr_per_second)
-            .field("cycles_per_second", r.cycles_per_second)
-    };
     let micro = |m: &MicrobenchResult| {
         Json::obj()
             .field("attr_cache", m.attr_cache)
@@ -440,33 +268,6 @@ pub fn render_json(
                     micro_cached.instr_per_second / micro_direct.instr_per_second.max(1e-9),
                 ),
         )
-        .field(
-            "check_elision",
-            Json::obj()
-                .field(
-                    "elided_checks_per_profile",
-                    elision
-                        .profiles
-                        .iter()
-                        .map(|p| {
-                            Json::obj()
-                                .field("method", p.method.as_str())
-                                .field("elided", p.elided)
-                                .field("candidates", p.candidates)
-                        })
-                        .collect::<Vec<_>>(),
-                )
-                .field("workload", "Software-Only catalogue, dominant handlers")
-                .field("rounds", elision.rounds)
-                .field("unelided", elision_run(&elision.unelided))
-                .field("elided", elision_run(&elision.elided))
-                .field(
-                    "instr_retired_drop_percent",
-                    elision.instr_retired_drop_percent(),
-                )
-                .field("workload_speedup", elision.workload_speedup())
-                .field("outcomes_identical", elision.outcomes_identical),
-        )
         .render()
 }
 
@@ -493,17 +294,12 @@ mod tests {
         let micro = run_microbench(1_000, true);
         let direct = run_microbench(1_000, false);
         let fleet = run_fleet(8, 10, 1);
-        let elision = run_check_elision(3);
-        let text = render_json(&micro, &direct, &fleet, &elision);
+        let text = render_json(&micro, &direct, &fleet);
         for needle in [
             "\"bench\": \"hotpath\"",
             "\"baseline\"",
             "\"devices_per_second\"",
             "\"access_path_speedup\"",
-            "\"check_elision\"",
-            "\"elided_checks_per_profile\"",
-            "\"instr_retired_drop_percent\"",
-            "\"outcomes_identical\": true",
         ] {
             assert!(text.contains(needle), "missing {needle}");
         }
@@ -523,34 +319,7 @@ mod tests {
             wall_seconds: 1.0,
             devices_per_second: devices as f64,
         };
-        let text = render_json(&micro, &direct, &baseline_shaped, &elision);
+        let text = render_json(&micro, &direct, &baseline_shaped);
         assert!(text.contains("\"speedup_vs_baseline\":"));
-    }
-
-    #[test]
-    fn check_elision_is_sound_and_retires_fewer_instructions() {
-        let bench = run_check_elision(4);
-        assert!(bench.outcomes_identical, "elision changed an outcome");
-        // Software Only is check-heavy: it must both emit candidates and
-        // certify a real fraction of them.
-        let sw = bench
-            .profiles
-            .iter()
-            .find(|p| p.method == IsolationMethod::SoftwareOnly.to_string())
-            .expect("Software-Only profile counted");
-        assert!(sw.candidates > 0 && sw.elided > 0);
-        let none = bench
-            .profiles
-            .iter()
-            .find(|p| p.method == IsolationMethod::NoIsolation.to_string())
-            .expect("No-Isolation profile counted");
-        assert_eq!((none.elided, none.candidates), (0, 0));
-        assert!(
-            bench.elided.instructions < bench.unelided.instructions,
-            "elided image must retire fewer instructions"
-        );
-        assert_eq!(bench.elided.total_cycles, bench.unelided.total_cycles);
-        assert_eq!(bench.elided.energy_joules, bench.unelided.energy_joules);
-        assert!(bench.instr_retired_drop_percent() > 0.0);
     }
 }

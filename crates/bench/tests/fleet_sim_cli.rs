@@ -5,7 +5,8 @@
 //! campaign — and degenerate but legal knobs (zero devices, zero events,
 //! zero workers) must still print a valid JSON report with no `NaN` or
 //! infinity in it.  The deterministic report must be byte-identical for
-//! any worker count, in both time modes.
+//! any worker count, in both time modes, and `--verify` must pass its gate
+//! on the default fleet.
 
 use std::process::{Command, Output};
 
@@ -132,6 +133,36 @@ fn reports_are_byte_identical_for_1_and_8_workers_in_both_time_modes() {
         agg.at("batched/delivery_latency_ms/p50").num()
             > agg.at("per_event/delivery_latency_ms/p50").num()
     );
+}
+
+/// `--verify` arms the static gate fleet-wide: every distinct image of a
+/// 300-device fleet certifies with zero proven escapes, benign code
+/// proves safe, and the verifier still finds redundant bound checks.
+#[test]
+fn verify_gate_passes_fleet_wide() {
+    let args = [
+        "--devices",
+        "300",
+        "--events",
+        "40",
+        "--summary",
+        "--no-write",
+        "--verify",
+    ];
+    let out = fleet_sim(&args);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "fleet_sim {args:?} must succeed; stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).expect("UTF-8 report");
+    let doc = parse_json(&text).unwrap_or_else(|at| panic!("invalid JSON at byte {at}"));
+    let v = doc.at("verifier");
+    assert!(matches!(v.at("passes_gate"), Value::Bool(true)), "{v:?}");
+    assert_eq!(v.at("proven_escape").num(), 0.0, "{v:?}");
+    assert!(v.at("proven_safe").num() > 0.0, "{v:?}");
+    assert!(v.at("elidable_sites").num() > 0.0, "{v:?}");
 }
 
 #[test]

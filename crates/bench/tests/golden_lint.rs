@@ -2,7 +2,7 @@
 //!
 //! The lint document is a pure function of the scenario, so this test can
 //! pin it byte for byte: any change to the verifier's verdicts on the
-//! committed catalogue — a new finding, a lost elision, a verdict flip —
+//! committed catalogue — a new finding, a lost redundant-check certificate, a verdict flip —
 //! shows up as a fixture diff that must be reviewed and re-blessed
 //! deliberately, never silently.
 //!

@@ -11,7 +11,7 @@
 use crate::scenario::{DeviceConfig, FleetScenario, TimeMode};
 use crate::stats::{aggregate, FleetAggregate};
 use crate::store::FirmwareStore;
-use amulet_aft::aft::Aft;
+use amulet_aft::aft::{Aft, BuildOutput};
 use amulet_arp::arp::Arp;
 use amulet_core::energy::{BatteryModel, EnergyModel};
 use amulet_core::method::IsolationMethod;
@@ -428,29 +428,29 @@ pub(crate) fn simulate_device(
     }
 }
 
-/// Builds one device configuration's firmware image, applying the
-/// scenario's static-verification knobs: with [`DeviceConfig::verify`]
-/// the amulet-verify gate must certify the build free of proven-escape
-/// accesses before the image may enter the fleet, and with
-/// [`DeviceConfig::elide`] the image is rewritten through check elision
-/// (redundant software checks replaced by cycle-neutral fillers).
-pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig) -> Arc<Firmware> {
+/// Runs the AFT over one device configuration's platform, method and
+/// apps.  A catalogue build that fails is a bug, not a device outcome, so
+/// it panics with the firmware `key`.
+pub(crate) fn aft_build(key: &str, cfg: &DeviceConfig) -> BuildOutput {
     let mut aft = Aft::for_platform(cfg.method, &cfg.platform);
     for app in &cfg.apps {
         aft = aft.add_app(app.app_source());
     }
-    let out = aft
-        .build()
-        .unwrap_or_else(|e| panic!("fleet firmware build failed for {key}: {e}"));
+    aft.build()
+        .unwrap_or_else(|e| panic!("fleet firmware build failed for {key}: {e}"))
+}
+
+/// Builds one device configuration's firmware image.  With
+/// [`DeviceConfig::verify`] the amulet-verify gate must certify the build
+/// free of proven-escape accesses before the image may enter the fleet.
+pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig) -> Arc<Firmware> {
+    let out = aft_build(key, cfg);
     if cfg.verify {
         let report = amulet_verify::verify_build(&out);
         assert!(
             report.passes_gate(),
             "fleet verify gate refused firmware {key}:\n{report}"
         );
-    }
-    if cfg.elide {
-        return Arc::new(amulet_verify::elide_checks(&out).firmware);
     }
     Arc::new(out.firmware)
 }
@@ -610,7 +610,7 @@ pub struct FleetVerifySummary {
     pub unknown: usize,
     /// Software bound checks certified redundant (elidable).
     pub elidable_sites: usize,
-    /// Software bound checks considered for elision.
+    /// Software bound checks of a kind the verifier can certify.
     pub elidable_candidates: usize,
     /// Firmware keys whose report failed [`VerifyReport::passes_gate`],
     /// in derivation order.
@@ -662,10 +662,6 @@ impl FleetVerifySummary {
 /// the per-image [`VerifyReport`]s into one [`FleetVerifySummary`] in
 /// derivation order.
 ///
-/// Verification always runs on the *unelided* build — elision is itself
-/// justified by this analysis, so the gate must judge the image the
-/// compiler emitted, not the image the verifier rewrote.
-///
 /// [`VerifyReport`]: amulet_verify::VerifyReport
 pub fn verify_fleet(scenario: &FleetScenario, workers: usize) -> FleetVerifySummary {
     FleetVerifySummary::from_reports(&verify_fleet_reports(scenario, workers))
@@ -694,14 +690,10 @@ pub fn verify_fleet_reports(
     par_map_chunks(&distinct, workers, |part| {
         part.iter()
             .map(|(key, cfg)| {
-                let mut aft = Aft::for_platform(cfg.method, &cfg.platform);
-                for app in &cfg.apps {
-                    aft = aft.add_app(app.app_source());
-                }
-                let out = aft
-                    .build()
-                    .unwrap_or_else(|e| panic!("fleet firmware build failed for {key}: {e}"));
-                (key.clone(), amulet_verify::verify_build(&out))
+                (
+                    key.clone(),
+                    amulet_verify::verify_build(&aft_build(key, cfg)),
+                )
             })
             .collect()
     })

@@ -129,12 +129,6 @@ pub struct FleetScenario {
     /// proven-escape accesses (the gate), or the build is refused.
     /// Draw-free: arming it changes no device derivation.
     pub verify: bool,
-    /// Rewrite every built image through the static check-elision pass:
-    /// software checks the verifier certifies redundant are replaced by
-    /// cycle-neutral `Elided` fillers, so elided fleets report identical
-    /// cycle/energy numbers while retiring fewer instructions.
-    /// Draw-free, like [`FleetScenario::verify`].
-    pub elide_checks: bool,
 }
 
 impl Default for FleetScenario {
@@ -165,7 +159,6 @@ impl Default for FleetScenario {
             ota_max_retries: 3,
             store_cap_bytes: None,
             verify: false,
-            elide_checks: false,
         }
     }
 }
@@ -199,27 +192,14 @@ pub struct DeviceConfig {
     /// Whether the firmware build must pass the static verify gate
     /// (copied from [`FleetScenario::verify`]).
     pub verify: bool,
-    /// Whether the firmware image is rewritten through check elision
-    /// (copied from [`FleetScenario::elide_checks`]).
-    pub elide: bool,
 }
 
 impl DeviceConfig {
     /// A key identifying the firmware image this device needs; devices
     /// sharing a key share one AFT build (the fleet runner's cache).
-    /// Elided images are distinct artefacts — same sources, different
-    /// bytes — so the key carries an `|elided` suffix when the scenario
-    /// rewrites images, keeping the in-memory cache and the on-disk
-    /// store from ever conflating the two.
     pub fn firmware_key(&self) -> String {
         let apps: Vec<&str> = self.apps.iter().map(|a| a.name).collect();
-        let suffix = if self.elide { "|elided" } else { "" };
-        format!(
-            "{}|{}|{}{suffix}",
-            self.platform.name,
-            self.method,
-            apps.join("+")
-        )
+        format!("{}|{}|{}", self.platform.name, self.method, apps.join("+"))
     }
 
     /// Whether the fleet's block engine may serve this device from the
@@ -359,11 +339,10 @@ impl FleetScenario {
             silent,
             fault,
             ota_seed,
-            // Draw-free copies: arming the verifier knobs consumes no
-            // splitmix draws, so every other field above derives bit
-            // for bit identically with or without them.
+            // Draw-free copy: arming the verifier consumes no splitmix
+            // draws, so every other field above derives bit for bit
+            // identically with or without it.
             verify: self.verify,
-            elide: self.elide_checks,
         }
     }
 

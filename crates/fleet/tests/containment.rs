@@ -229,29 +229,6 @@ fn storm_report_contains_faults_and_never_bricks_a_device() {
 }
 
 #[test]
-fn check_elision_changes_no_storm_outcome() {
-    // The static verifier's check elision is sound exactly when it is
-    // invisible to every dynamic outcome: the containment matrix, the
-    // OTA wave, the energy and cycle aggregates of a fault storm must
-    // all be bit-identical with the elided images — elided fleets just
-    // retire fewer instructions.  This is the fleet-level half of the
-    // static/dynamic cross-validation (the per-app half lives in
-    // amulet-verify's certification tests).
-    let base = FleetScenario::storm(120);
-    let elided = FleetScenario {
-        elide_checks: true,
-        ..base.clone()
-    };
-    let a = simulate_summary(&base, 4);
-    let b = simulate_summary(&elided, 4);
-    assert_eq!(a.aggregate, b.aggregate, "elision must be outcome-neutral");
-    assert!(
-        !a.aggregate.containment.is_empty(),
-        "the comparison covered armed probes"
-    );
-}
-
-#[test]
 fn static_verifier_cross_validates_the_dynamic_matrix() {
     // Soundness criterion from the matrix above: an app whose probe
     // dynamically escaped (or was caught) may never verify with its

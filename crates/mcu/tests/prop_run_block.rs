@@ -87,8 +87,8 @@ fn cond_strategy() -> impl Strategy<Value = Cond> {
 }
 
 /// One generator chunk: either a multi-instruction shape the AFT emits
-/// (bound checks, stride advances, frame prologues/epilogues, elision
-/// placeholders) or a single arbitrary instruction.  Chunks are
+/// (bound checks, stride advances, frame prologues/epilogues) or a single
+/// arbitrary instruction.  Chunks are
 /// concatenated and laid out contiguously, so the shapes land adjacent
 /// exactly as compiled code would.
 fn chunk_strategy() -> impl Strategy<Value = Vec<P>> {
@@ -142,17 +142,6 @@ fn chunk_strategy() -> impl Strategy<Value = Vec<P>> {
         (reg_strategy(), reg_strategy(), reg_strategy()).prop_map(|(dst, src, pop)| vec![
             P::I(Instr::Mov { dst, src }),
             P::I(Instr::Pop { dst: pop }),
-        ]),
-        // Adjacent elision placeholders (what `elide_checks` leaves behind).
-        (1u8..4, 0u8..8, 1u8..4, 0u8..8).prop_map(|(w1, c1, w2, c2)| vec![
-            P::I(Instr::Elided {
-                words: w1,
-                cycles: c1
-            }),
-            P::I(Instr::Elided {
-                words: w2,
-                cycles: c2
-            }),
         ]),
         // A single arbitrary instruction.
         single_strategy().prop_map(|p| vec![p]),

@@ -24,12 +24,12 @@ use std::collections::BTreeMap;
 
 use amulet_core::layout::OsImageSpec;
 use amulet_core::{
-    builtin_platforms, fnv1a64, Addr, AppImageSpec, DecodeError, IsolationMethod, MemoryMap,
+    builtin_platforms, fnv1a64, Addr, AppImageSpec, Codec, DecodeError, IsolationMethod, MemoryMap,
     MemoryMapPlanner, MpuPlan,
 };
 use amulet_mcu::{
     decode_firmware, encode_firmware, AluOp, AppBinary, Cond, Firmware, FirmwareBuilder, Instr,
-    OsBinary, Reg, UnaryOp, Width,
+    InstrStore, OsBinary, Reg, UnaryOp, Width,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -322,6 +322,76 @@ fn envelope_guards_report_typed_errors() {
         decode_firmware(&[]),
         Err(DecodeError::UnexpectedEof { .. })
     ));
+}
+
+/// Byte offset of `at`'s opcode tag inside `store`'s canonical encoding:
+/// a 4-byte count, then `(u16 address, instruction)` pairs in address
+/// order.
+fn tag_offset(store: &InstrStore, at: Addr) -> usize {
+    let mut offset = 4;
+    for (addr, instr) in store.iter() {
+        if addr == at {
+            return offset + 2;
+        }
+        offset += 2 + instr.to_bytes().len();
+    }
+    panic!("no instruction at {at:#x}")
+}
+
+/// Tag 23 is retired: a crafted instruction carrying it, whatever its
+/// two operand bytes, is refused as an unknown opcode — never decoded into
+/// an instruction whose packed metadata cannot hold it.  The hash is
+/// FNV-1a, not a MAC, so the envelope case re-seals the patched bytes with
+/// a correct hash to reach the instruction decoder.
+#[test]
+fn retired_tag_23_is_refused_not_decoded() {
+    let fw = build_firmware(
+        0,
+        IsolationMethod::SoftwareOnly,
+        &[Instr::Nop, Instr::Syscall { num: 0 }, Instr::Ret],
+        vec![],
+        0x2400,
+        false,
+    );
+    let patch_at = fw.memory_map.apps[0].code.start + 2;
+    assert_eq!(fw.code.get(patch_at), Some(&Instr::Syscall { num: 0 }));
+    let in_store = tag_offset(&fw.code, patch_at);
+    let store_bytes = fw.code.to_bytes();
+    let envelope = encode_firmware("hostile|tag23", &fw);
+    let in_envelope = envelope.len() - fw.to_bytes().len()
+        + fw.method.to_bytes().len()
+        + fw.memory_map.to_bytes().len()
+        + in_store;
+    assert_eq!((store_bytes[in_store], envelope[in_envelope]), (19, 19));
+    let is_bad_tag = |got: Result<_, DecodeError>| {
+        matches!(
+            got,
+            Err(DecodeError::BadTag {
+                what: "instruction opcode",
+                tag: 23
+            })
+        )
+    };
+
+    for (words, cycles) in [(2u8, 4u8), (8, 0), (0, 0), (1, 200)] {
+        // `Syscall` is tag 19 plus a little-endian u16, so rewriting the
+        // tag byte leaves exactly two operand bytes behind it.
+        let mut store = store_bytes.clone();
+        store[in_store..in_store + 3].copy_from_slice(&[23, words, cycles]);
+        assert!(
+            is_bad_tag(InstrStore::from_bytes(&store).map(|_| ())),
+            "InstrStore::decode accepted tag 23 ({words}, {cycles})"
+        );
+
+        let mut sealed = envelope.clone();
+        sealed[in_envelope..in_envelope + 3].copy_from_slice(&[23, words, cycles]);
+        let hash = fnv1a64(&sealed[14..]);
+        sealed[6..14].copy_from_slice(&hash.to_le_bytes());
+        assert!(
+            is_bad_tag(decode_firmware(&sealed).map(|_| ())),
+            "decode_firmware accepted tag 23 ({words}, {cycles})"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -338,9 +338,8 @@ impl AmuletOs {
     }
 
     /// Read-only view of the device's CPU execution statistics.  Cycle
-    /// and energy accounting derive from [`Self::total_cycles`], so two
-    /// runs can agree on `total_cycles` while retiring different
-    /// instruction counts — exactly what check elision produces.
+    /// and energy accounting derive from [`Self::total_cycles`], not from
+    /// these counters.
     pub fn cpu_stats(&self) -> amulet_mcu::cpu::CpuStats {
         self.device.cpu.stats
     }

@@ -5,7 +5,7 @@
 //! simulator executes — rather than any compiler IR, so its verdicts
 //! hold for exactly what ships.
 //!
-//! Three passes share one fixed point per application:
+//! Two passes share one fixed point per application:
 //!
 //! * **CFG recovery** ([`analysis`]) walks the image from the app's
 //!   OS-registered handlers, surfacing odd or out-of-image branch
@@ -19,23 +19,19 @@
 //!   [`ProvenEscape`](AccessVerdict::ProvenEscape) or
 //!   [`Unknown`](AccessVerdict::Unknown).  The analysis is sound, never
 //!   complete: handler arguments are unknown at entry, so any
-//!   payload-controlled access stays (at best) unknown.
-//! * **Check elision** ([`elide`]) rewrites the image, replacing
-//!   compiler-inserted bound checks whose branch provably never fires
-//!   with cycle-neutral [`Elided`](amulet_mcu::isa::Instr::Elided)
-//!   placeholders.  Simulated time, energy and fault behaviour are
-//!   bit-identical; retired instructions (and host wall-clock) drop.
+//!   payload-controlled access stays (at best) unknown.  The same fixed
+//!   point certifies compiler-inserted bound checks whose branch
+//!   provably never fires as redundant; the report counts them, and the
+//!   image is never rewritten.
 //!
 //! [`Firmware`]: amulet_mcu::firmware::Firmware
 
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod elide;
 pub mod interval;
 pub mod report;
 
 pub use analysis::{verify_build, verify_firmware, verify_firmware_with_sites};
-pub use elide::{elide_checks, elide_with_report, ElisionOutcome};
 pub use interval::Interval;
 pub use report::{AccessClass, AccessVerdict, AppVerification, Finding, VerifyReport};

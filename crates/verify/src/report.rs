@@ -139,7 +139,7 @@ pub struct AppVerification {
     /// [`BuildOutput`]: amulet_aft::aft::BuildOutput
     pub elidable_sites: Vec<CheckSite>,
     /// Total elidable-kind check sites the compiler emitted for this app
-    /// (the elision denominator).
+    /// (the denominator of [`elidable_sites`](Self::elidable_sites)).
     pub elidable_candidates: usize,
 }
 
