@@ -1,6 +1,6 @@
 //! The fleet-simulation bench: runs a [`amulet_fleet::FleetScenario`] and renders the
 //! aggregate report — including the per-event vs batched switch-overhead
-//! comparison — as `BENCH_fleet.json`.
+//! comparison — as the JSON document `fleet_sim` prints.
 //!
 //! The deterministic part of the document (everything under `"scenario"`
 //! and `"aggregate"`) is a pure function of the scenario seed, regardless
@@ -47,13 +47,14 @@ pub fn render_summary_json(summary: &FleetSummary, wall_seconds: Option<f64>) ->
 }
 
 /// The shared render core behind [`render_json`] and
-/// [`render_summary_json`]; `scaling` (when present) appends the
-/// scaling-campaign section the `--scaling` driver composes, and `store`
-/// (when present) the `firmware_store` section — prewarm timing plus
-/// [`amulet_fleet::FirmwareStoreStats`] counters.  Both are measurement
-/// sections: like `timing`, they never enter the deterministic document
-/// (`--report-out` renders with all three absent, which is what makes
-/// cold-run and warm-run reports byte-comparable).
+/// [`render_summary_json`]; `scaling` (when present) appends a `scaling`
+/// section (the shape of the historical scaling campaign recorded in the
+/// committed `BENCH_fleet.json`; only its unit test passes one), and
+/// `store` (when present) the `firmware_store` section — prewarm timing
+/// plus [`amulet_fleet::FirmwareStoreStats`] counters.  Both are
+/// measurement sections: like `timing`, they never enter the
+/// deterministic document (`--report-out` renders with all three absent,
+/// which is what makes cold-run and warm-run reports byte-comparable).
 pub fn render_document(
     s: &FleetScenario,
     workers: usize,
@@ -62,22 +63,23 @@ pub fn render_document(
     scaling: Option<Json>,
     store: Option<Json>,
 ) -> String {
-    render_document_with(s, workers, agg, wall_seconds, scaling, store, Vec::new())
+    let sections = [("scaling", scaling), ("firmware_store", store)]
+        .into_iter()
+        .filter_map(|(name, section)| Some((name, section?)))
+        .collect();
+    render_document_with(s, workers, agg, wall_seconds, sections)
 }
 
-/// [`render_document`] plus arbitrary trailing document-level sections —
-/// how the `--scaling` driver attaches the fault-storm `containment` and
-/// `ota_wave` sections (measured on the storm scenario) to the committed
-/// scaling document without disturbing any earlier field.
-#[allow(clippy::too_many_arguments)]
+/// [`render_document`] with its trailing document-level sections given
+/// as one ordered list, rendered after `timing` — how `fleet_sim`
+/// attaches `firmware_store` and `verifier` without disturbing any
+/// earlier field.
 pub fn render_document_with(
     s: &FleetScenario,
     workers: usize,
     agg: &FleetAggregate,
     wall_seconds: Option<f64>,
-    scaling: Option<Json>,
-    store: Option<Json>,
-    extras: Vec<(&'static str, Json)>,
+    sections: Vec<(&'static str, Json)>,
 ) -> String {
     let stepped = s.time_mode == TimeMode::Stepped;
     let mut scenario = Json::obj()
@@ -266,13 +268,7 @@ pub fn render_document_with(
                 .field("events_per_second", rate(events as f64)),
         );
     }
-    if let Some(scaling) = scaling {
-        doc = doc.field("scaling", scaling);
-    }
-    if let Some(store) = store {
-        doc = doc.field("firmware_store", store);
-    }
-    for (name, value) in extras {
+    for (name, value) in sections {
         doc = doc.field(name, value);
     }
     doc.render()
@@ -376,7 +372,7 @@ mod tests {
 
     #[test]
     fn aggregate_json_is_identical_across_worker_counts() {
-        // The fleet-determinism acceptance criterion, end to end: the
+        // The fleet-determinism requirement, end to end: the
         // rendered aggregate document (timing omitted) must match byte for
         // byte between a serial and a parallel run of the same seed.
         let serial = render_json(&simulate(&tiny(), 1), None);
@@ -434,8 +430,6 @@ mod tests {
             &report.scenario,
             report.workers,
             &report.aggregate,
-            None,
-            None,
             None,
             vec![("verifier", verify_summary_json(&summary))],
         );
@@ -550,7 +544,8 @@ mod tests {
             assert!(text.contains(needle), "missing {needle}");
         }
         // The deterministic document (the one `--report-out` writes and the
-        // CI cold/warm byte-diff compares) must not carry store state.
+        // cold/warm byte-diff in `fleet_sim_cli.rs` compares) must not
+        // carry store state.
         let bare = render_document(
             &report.scenario,
             report.workers,

@@ -5,27 +5,58 @@
 //! campaign — and degenerate but legal knobs (zero devices, zero events,
 //! zero workers) must still print a valid JSON report with no `NaN` or
 //! infinity in it.  The deterministic report must be byte-identical for
-//! any worker count, in both time modes, and `--verify` must pass its gate
-//! on the default fleet.
+//! any worker count, in both time modes (also for the 10⁴-device streamed
+//! scaling preset), and for cold, warm and paranoid firmware-store runs;
+//! `--verify` must pass its gate on the default fleet.  No run writes a
+//! file it was not asked for.
 
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Runs `fleet_sim args` in a fresh, empty working directory and checks
+/// that the run left it empty: the report goes to stdout, and only
+/// `--report-out` and `--store` (always absolute paths here) write files.
 fn fleet_sim(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fleet_sim"))
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let cwd = std::env::temp_dir().join(format!(
+        "fleet_sim_cli-{}-cwd{}",
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&cwd).expect("empty working directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_fleet_sim"))
         .args(args)
+        .current_dir(&cwd)
         .output()
-        .expect("fleet_sim starts")
+        .expect("fleet_sim starts");
+    let left: Vec<_> = std::fs::read_dir(&cwd)
+        .expect("working directory still there")
+        .map(|e| e.expect("directory entry").file_name())
+        .collect();
+    let _ = std::fs::remove_dir_all(&cwd);
+    assert!(
+        left.is_empty(),
+        "fleet_sim {args:?} wrote {left:?} into its working directory"
+    );
+    out
 }
 
-fn assert_rejected(args: &[&str]) {
+/// Asserts that `fleet_sim args` exits 2 with no report, and that its
+/// stderr names `reason`: each case must be refused for its own fault,
+/// not for some other flag in the list.
+fn assert_rejected(args: &[&str], reason: &str) {
     let out = fleet_sim(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
         Some(2),
-        "fleet_sim {args:?} must exit 2; stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        "fleet_sim {args:?} must exit 2; stderr: {stderr}"
     );
     assert!(out.stdout.is_empty(), "a rejected run prints no report");
+    assert!(
+        stderr.contains(reason),
+        "fleet_sim {args:?} must be refused for {reason:?}; stderr: {stderr}"
+    );
 }
 
 #[test]
@@ -36,48 +67,55 @@ fn permille_flags_outside_0_to_1000_exit_2() {
         "--ota-permille",
         "--ota-corrupt-permille",
     ] {
-        // 65536 and 66336 used to wrap to 0 and 800 through `as u16`;
         // 1001 and 5000 fit `u16` but are not rates.
-        for value in ["1001", "5000", "65536", "66336", "-1", "0.5"] {
-            assert_rejected(&[flag, value, "--no-write", "--no-store"]);
+        for value in ["1001", "5000"] {
+            assert_rejected(&[flag, value], "outside 0..=1000");
+        }
+        // 65536 and 66336 used to wrap to 0 and 800 through `as u16`.
+        for value in ["65536", "66336", "-1", "0.5"] {
+            assert_rejected(&[flag, value], "not a number that fits");
         }
     }
 }
 
 #[test]
 fn ota_max_retries_beyond_u32_exits_2() {
-    assert_rejected(&[
-        "--ota-max-retries",
-        "4294967296",
-        "--no-write",
-        "--no-store",
-    ]);
+    assert_rejected(
+        &["--ota-max-retries", "4294967296"],
+        "not a number that fits",
+    );
 }
 
 #[test]
 fn contradictory_unknown_and_bare_arguments_exit_2() {
-    for args in [
-        &["--store", "fleet-store", "--no-store"][..],
-        &["--store-cap-bytes", "1"],
-        &["--no-such-flag"],
-        &["--linear"],
-        &["64"],
+    for (args, reason) in [
+        (&["--store-cap-bytes", "1"][..], "needs --store DIR"),
+        (&["--paranoid"], "needs --store DIR"),
+        (
+            &["--preset", "scaling", "--preset", "storm"],
+            "--preset given twice",
+        ),
+        (&["--no-such-flag"], "unknown flag"),
+        // Removed flags are refused, never silently accepted.
+        (&["--linear"], "unknown flag"),
+        (&["--no-write"], "unknown flag"),
+        (&["--no-store"], "unknown flag"),
+        (&["--scaling"], "unknown flag"),
+        (&["--scaling-point"], "unknown flag"),
+        (&["64"], "unexpected argument"),
     ] {
-        assert_rejected(&[args, &["--no-write"]].concat());
+        assert_rejected(args, reason);
     }
 }
 
 /// Runs `fleet_sim` with `args` and returns the deterministic document it
-/// wrote to `--report-out`; `name` keeps concurrent tests' files apart.
-fn report_out(args: &[&str], name: &str) -> String {
+/// wrote to `--report-out` plus the full report it printed; `name` keeps
+/// concurrent tests' files apart.
+fn report_out(args: &[&str], name: &str) -> (String, String) {
     let path =
         std::env::temp_dir().join(format!("fleet_sim_cli-{}-{name}.json", std::process::id()));
     let path_arg = path.to_str().expect("UTF-8 temp path");
-    let args = [
-        args,
-        &["--no-write", "--no-store", "--report-out", path_arg],
-    ]
-    .concat();
+    let args = [args, &["--report-out", path_arg]].concat();
     let out = fleet_sim(&args);
     assert_eq!(
         out.status.code(),
@@ -87,7 +125,7 @@ fn report_out(args: &[&str], name: &str) -> String {
     );
     let doc = std::fs::read_to_string(&path).expect("--report-out file written");
     let _ = std::fs::remove_file(&path);
-    doc
+    (doc, String::from_utf8(out.stdout).expect("UTF-8 report"))
 }
 
 #[test]
@@ -96,11 +134,11 @@ fn reports_are_byte_identical_for_1_and_8_workers_in_both_time_modes() {
     let stepped = [&arrival[..], &["--seed", "990951", "--mode", "stepped"]].concat();
     let mut docs = Vec::new();
     for (label, args) in [("arrival", &arrival[..]), ("stepped", &stepped[..])] {
-        let w1 = report_out(
+        let (w1, _) = report_out(
             &[args, &["--workers", "1"]].concat(),
             &format!("{label}-w1"),
         );
-        let w8 = report_out(
+        let (w8, _) = report_out(
             &[args, &["--workers", "8"]].concat(),
             &format!("{label}-w8"),
         );
@@ -146,7 +184,6 @@ fn verify_gate_passes_fleet_wide() {
         "--events",
         "40",
         "--summary",
-        "--no-write",
         "--verify",
     ];
     let out = fleet_sim(&args);
@@ -165,10 +202,110 @@ fn verify_gate_passes_fleet_wide() {
     assert!(v.at("elidable_sites").num() > 0.0, "{v:?}");
 }
 
+/// The 10⁴-device streamed scaling preset — the mostly-silent campaign
+/// the block engine exists for — renders byte-identical deterministic
+/// reports on 1 and 8 workers in both time modes, within a wall-clock
+/// budget of seconds, not minutes.
+#[test]
+fn scaling_preset_at_10k_devices_is_byte_identical_for_1_and_8_workers() {
+    let scaling = ["--preset", "scaling", "--devices", "10000", "--summary"];
+    for mode in ["stepped", "arrival-order"] {
+        let args = [&scaling[..], &["--mode", mode]].concat();
+        let (w1, stdout) = report_out(
+            &[&args[..], &["--workers", "1"]].concat(),
+            &format!("scaling-{mode}-w1"),
+        );
+        let (w8, _) = report_out(
+            &[&args[..], &["--workers", "8"]].concat(),
+            &format!("scaling-{mode}-w8"),
+        );
+        assert!(
+            w1 == w8,
+            "{mode} scaling report differs between 1 and 8 workers"
+        );
+        if mode == "stepped" {
+            let doc = parse_json(&w1).unwrap_or_else(|at| panic!("invalid JSON at byte {at}"));
+            assert_eq!(doc.at("scenario/silent_permille").num(), 800.0);
+            assert_eq!(doc.at("aggregate/devices").num(), 10_000.0);
+            let printed =
+                parse_json(&stdout).unwrap_or_else(|at| panic!("invalid JSON at byte {at}"));
+            let wall = printed.at("timing/wall_seconds").num();
+            assert!(
+                wall < 60.0,
+                "10⁴ mostly-silent devices took {wall} s on one worker"
+            );
+        }
+    }
+}
+
+/// A 10⁴-device scaling campaign run cold, warm and paranoid — each in a
+/// fresh process, all sharing one store directory — renders the same
+/// deterministic report three times.  The cold run builds and persists
+/// every distinct image, the warm run loads every one from disk and
+/// builds none, and the paranoid run rebuilds and byte-compares every
+/// disk image without a mismatch.
+#[test]
+fn firmware_store_cold_warm_and_paranoid_runs_agree_at_10k_devices() {
+    let dir = std::env::temp_dir().join(format!("fleet_sim_cli-{}-store", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.to_str().expect("UTF-8 temp path");
+    let campaign = [
+        "--preset",
+        "scaling",
+        "--devices",
+        "10000",
+        "--summary",
+        "--store",
+        store,
+    ];
+    let mut reports = Vec::new();
+    let mut docs = Vec::new();
+    for (phase, extra) in [
+        ("cold", &[][..]),
+        ("warm", &[]),
+        ("paranoid", &["--paranoid"]),
+    ] {
+        let (report, stdout) = report_out(&[&campaign[..], extra].concat(), phase);
+        reports.push(report);
+        docs.push(parse_json(&stdout).unwrap_or_else(|at| panic!("invalid JSON at byte {at}")));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(reports[0] == reports[1], "cold and warm reports differ");
+    assert!(reports[0] == reports[2], "cold and paranoid reports differ");
+
+    let [cold, warm, paranoid] = [0, 1, 2].map(|i| docs[i].at("firmware_store"));
+    let configs = cold.at("prewarm/configs").num();
+    assert!(configs > 0.0, "{cold:?}");
+    assert_eq!(cold.at("stats/builds").num(), configs, "{cold:?}");
+    assert!(cold.at("stats/bytes_written").num() > 0.0, "{cold:?}");
+    assert_eq!(warm.at("prewarm/configs").num(), configs, "{warm:?}");
+    assert_eq!(
+        warm.at("stats/builds").num(),
+        0.0,
+        "warm run rebuilt: {warm:?}"
+    );
+    assert_eq!(warm.at("stats/disk_hits").num(), configs, "{warm:?}");
+    assert_eq!(
+        warm.at("stats/bytes_read").num(),
+        cold.at("stats/bytes_written").num(),
+        "{warm:?}"
+    );
+    assert!(
+        matches!(paranoid.at("paranoid"), Value::Bool(true)),
+        "{paranoid:?}"
+    );
+    assert_eq!(
+        paranoid.at("stats/verify_failures").num(),
+        0.0,
+        "{paranoid:?}"
+    );
+    assert_eq!(paranoid.at("stats/builds").num(), configs, "{paranoid:?}");
+}
+
 #[test]
 fn degenerate_knobs_emit_valid_finite_json() {
     for knob in [["--devices", "0"], ["--events", "0"], ["--workers", "0"]] {
-        let mut args = vec!["--no-write", "--no-store"];
+        let mut args = Vec::new();
         if knob[0] != "--devices" {
             args.extend(["--devices", "16"]);
         }

@@ -126,52 +126,25 @@ pub struct FirmwareStore {
 }
 
 impl FirmwareStore {
-    /// A purely in-memory store — the pre-PR-7 behaviour.
-    pub fn in_memory() -> Self {
+    /// The store a scenario asks for: on-disk under
+    /// [`FleetScenario::store_dir`] when set (created on demand), in
+    /// memory otherwise; paranoid and byte-capped when the scenario says
+    /// so.
+    pub fn for_scenario(scenario: &FleetScenario) -> Self {
         FirmwareStore {
-            dir: None,
-            paranoid: false,
-            policy_label: String::new(),
+            dir: scenario.store_dir.clone(),
+            paranoid: scenario.paranoid,
+            policy_label: scenario.policy_label(),
             capacity: DEFAULT_CAPACITY,
-            cap_bytes: None,
+            cap_bytes: scenario.store_cap_bytes,
             images: Mutex::new((HashMap::new(), VecDeque::new())),
             counters: Counters::default(),
         }
     }
 
-    /// The store a scenario asks for: on-disk under
-    /// [`FleetScenario::store_dir`] when set (created on demand), in
-    /// memory otherwise; paranoid when the scenario says so.
-    pub fn for_scenario(scenario: &FleetScenario) -> Self {
-        let mut store = FirmwareStore::in_memory();
-        store.dir = scenario.store_dir.clone();
-        store.paranoid = scenario.paranoid;
-        store.policy_label = scenario.policy_label();
-        store.cap_bytes = scenario.store_cap_bytes;
-        store
-    }
-
-    /// An on-disk store rooted at `dir`, with the policy label taken from
-    /// `scenario`.
-    pub fn on_disk(dir: &Path, scenario: &FleetScenario) -> Self {
-        let mut store = FirmwareStore::for_scenario(scenario);
-        store.dir = Some(dir.to_path_buf());
-        store
-    }
-
     /// Whether this store persists images to disk.
     pub fn is_persistent(&self) -> bool {
         self.dir.is_some()
-    }
-
-    /// Enables or disables paranoid verification.
-    pub fn set_paranoid(&mut self, paranoid: bool) {
-        self.paranoid = paranoid;
-    }
-
-    /// Sets (or clears) the on-disk byte cap.
-    pub fn set_cap_bytes(&mut self, cap_bytes: Option<u64>) {
-        self.cap_bytes = cap_bytes;
     }
 
     /// The full store key of a firmware configuration key: the firmware
@@ -368,9 +341,9 @@ impl FirmwareStore {
     }
 
     /// The distinct firmware configurations `scenario` draws, in firmware-key
-    /// order.  Separated from [`FirmwareStore::prewarm`] so `fleet_sim` can
-    /// derive the config set once and time only the materialisation
-    /// (build-vs-load) phase when comparing cold and warm stores.
+    /// order.  Separated from [`FirmwareStore::prewarm`] so a caller can
+    /// derive the config set once and materialise it through
+    /// [`FirmwareStore::prewarm_configs`] on its own.
     pub fn distinct_configs(scenario: &FleetScenario) -> Vec<(String, DeviceConfig)> {
         let ctx = ConfigContext::new();
         let mut distinct: BTreeMap<String, DeviceConfig> = BTreeMap::new();
@@ -386,42 +359,6 @@ impl FirmwareStore {
         for (key, cfg) in configs {
             self.get_or_build(key, cfg);
         }
-    }
-
-    /// Warm-start validation: confirms every configuration in `configs` has
-    /// an intact on-disk image (magic, version, content hash and embedded
-    /// key all verify via [`amulet_mcu::verify_envelope`]) and repairs —
-    /// builds and persists — any that are missing or corrupt.  Unlike
-    /// [`FirmwareStore::prewarm_configs`] the images are *not* decoded or
-    /// cached: that happens lazily at first [`FirmwareStore::get_or_build`],
-    /// which is all a warm start needs before it can skip rebuilding.
-    /// Verified images count as `disk_hits`; repairs count as `builds`.
-    /// Returns the number verified from disk.
-    pub fn validate_configs(&self, configs: &[(String, DeviceConfig)]) -> usize {
-        let mut verified = 0usize;
-        for (key, cfg) in configs {
-            let store_key = self.store_key(key);
-            let intact = self
-                .image_path(&store_key)
-                .and_then(|path| std::fs::read(path).ok())
-                .is_some_and(|bytes| match amulet_mcu::verify_envelope(&bytes) {
-                    Ok(embedded_key) if embedded_key == store_key => {
-                        self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        self.counters
-                            .bytes_read
-                            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                        true
-                    }
-                    _ => false,
-                });
-            if intact {
-                verified += 1;
-            } else if let Some(path) = self.image_path(&store_key) {
-                let fresh = self.build_fresh(key, cfg);
-                self.persist(&path, &store_key, &fresh);
-            }
-        }
-        verified
     }
 }
 
@@ -616,57 +553,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn validate_configs_verifies_intact_images_and_repairs_corrupt_ones() {
-        let dir = tmpdir("validate");
-        let s = FleetScenario {
-            devices: 64,
-            store_dir: Some(dir.clone()),
-            ..FleetScenario::scaling(64)
-        };
-        let configs = FirmwareStore::distinct_configs(&s);
-        let cold = FirmwareStore::for_scenario(&s);
-        cold.prewarm_configs(&configs);
-
-        // A fresh instance verifies every envelope without building or
-        // decoding anything.
-        let warm = FirmwareStore::for_scenario(&s);
-        assert_eq!(warm.validate_configs(&configs), configs.len());
-        let stats = warm.stats();
-        assert_eq!(stats.builds, 0);
-        assert_eq!(stats.disk_hits as usize, configs.len());
-        assert_eq!(stats.bytes_read, cold.stats().bytes_written);
-
-        // Corrupt one image: validation refuses it, rebuilds it, and the
-        // repaired file verifies again on the next pass.
-        let victim = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| p.extension().is_some_and(|x| x == "bin"))
-            .unwrap();
-        let mut bytes = std::fs::read(&victim).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&victim, &bytes).unwrap();
-
-        let repair = FirmwareStore::for_scenario(&s);
-        assert_eq!(repair.validate_configs(&configs), configs.len() - 1);
-        assert_eq!(
-            repair.stats().builds,
-            1,
-            "exactly the corrupt image rebuilds"
-        );
-
-        let clean = FirmwareStore::for_scenario(&s);
-        assert_eq!(clean.validate_configs(&configs), configs.len());
-        assert_eq!(clean.stats().builds, 0);
-
-        // An in-memory store has nothing to validate.
-        assert_eq!(FirmwareStore::in_memory().validate_configs(&configs), 0);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Pins a file's modification time to a deterministic epoch offset so
     /// the eviction order under test never depends on write timing.
     fn set_mtime(path: &Path, secs: u64) {
@@ -707,8 +593,10 @@ mod tests {
         // recency, so when persisting the fourth image overflows the cap
         // by one byte, the single eviction removes configs[1] — now the
         // least recently used — and leaves the touched configs[0] alone.
-        let mut capped = FirmwareStore::for_scenario(&s);
-        capped.set_cap_bytes(Some(size + fourth_len - 1));
+        let capped = FirmwareStore::for_scenario(&FleetScenario {
+            store_cap_bytes: Some(size + fourth_len - 1),
+            ..s.clone()
+        });
         capped.get_or_build(&first3[0].0, &first3[0].1);
         assert_eq!(capped.stats().disk_hits, 1);
         capped.get_or_build(&fourth.0, &fourth.1);
@@ -725,8 +613,10 @@ mod tests {
 
         // A cap smaller than a single image keeps only the newest file.
         std::fs::remove_file(path_of(&cold, &first3[1].0)).unwrap();
-        let mut tiny_cap = FirmwareStore::for_scenario(&s);
-        tiny_cap.set_cap_bytes(Some(1));
+        let tiny_cap = FirmwareStore::for_scenario(&FleetScenario {
+            store_cap_bytes: Some(1),
+            ..s.clone()
+        });
         tiny_cap.get_or_build(&first3[1].0, &first3[1].1);
         let survivors = std::fs::read_dir(&dir)
             .unwrap()

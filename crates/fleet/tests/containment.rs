@@ -230,7 +230,7 @@ fn storm_report_contains_faults_and_never_bricks_a_device() {
 
 #[test]
 fn static_verifier_cross_validates_the_dynamic_matrix() {
-    // Soundness criterion from the matrix above: an app whose probe
+    // Soundness condition from the matrix above: an app whose probe
     // dynamically escaped (or was caught) may never verify with its
     // attacking access proven safe.  The probes are payload-controlled,
     // so every one of them must stay (at best) unknown — summed over a

@@ -370,8 +370,8 @@ impl Bus {
     /// Turns the access-attribute cache on or off.  With the cache off,
     /// every access runs the original region-cascade + MPU-backend path;
     /// behaviour and [`BusStats`] must be identical either way (the
-    /// equivalence is property-tested), so this exists only for that test
-    /// and for the hot-path bench's before/after comparison.
+    /// equivalence is property-tested, access by access and at CPU
+    /// level), so this exists only for those tests.
     pub fn set_attr_cache_enabled(&mut self, enabled: bool) {
         self.attr_enabled = enabled;
     }

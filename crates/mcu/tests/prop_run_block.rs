@@ -10,6 +10,12 @@
 //! exactly `Cpu::step`, the single-step form that serves as the block
 //! loop's oracle.
 //!
+//! The same programs also pin the bus's access-attribute cache at CPU
+//! level: a run with the cache off (every access takes the region cascade
+//! and MPU backend directly) must retire the identical trace, with the
+//! MPU disarmed and armed.  `prop_attr_cache.rs` checks the cache access
+//! by access; this checks what a program sees.
+//!
 //! [`CpuStats`]: amulet_mcu::CpuStats
 //! [`BusStats`]: amulet_mcu::BusStats
 
@@ -19,6 +25,7 @@ use amulet_mcu::bus::Bus;
 use amulet_mcu::code::InstrStore;
 use amulet_mcu::cpu::{Cpu, StepEvent};
 use amulet_mcu::isa::{AluOp, Cond, Instr, Reg, UnaryOp, Width};
+use amulet_mcu::mpu::{MPUCTL0, MPUSAM, MPUSEGB1, MPUSEGB2};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -266,13 +273,34 @@ type Fingerprint = (
     Vec<u8>, // full memory image
 );
 
-/// Runs `code` from [`ORIGIN`] for at most `cap` steps, pulling block
-/// sizes cyclically from `blocks`, collecting every stopping event.
+/// A power-on bus for `platform` with the access-attribute cache on or
+/// off.  `armed` also writes the segmented-MPU registers: an
+/// execute-only segment over the code at [`ORIGIN`] up to `0x6000`, a
+/// read/write segment up to `0x8000` and a no-access segment above it.
+/// Where a platform has no such registers the writes land (or fault)
+/// identically in every run, so the comparison stays exact.
+fn bus(platform: &PlatformSpec, attr_cache: bool, armed: bool) -> Bus {
+    let mut bus = Bus::new(platform.clone());
+    bus.set_attr_cache_enabled(attr_cache);
+    if armed {
+        for (reg, value) in [
+            (MPUSEGB1, 0x600),
+            (MPUSEGB2, 0x800),
+            (MPUSAM, 0x0034),
+            (MPUCTL0, 0xA501),
+        ] {
+            let _ = bus.write(reg, 2, value);
+        }
+    }
+    bus
+}
+
+/// Runs `code` on `bus` from [`ORIGIN`] for at most `cap` steps, pulling
+/// block sizes cyclically from `blocks`, collecting every stopping event.
 /// Syscalls resume (the OS would service them); halts and faults end the
 /// run.
-fn run(platform: PlatformSpec, code: &InstrStore, cap: u64, blocks: &[u64]) -> Fingerprint {
+fn run(mut bus: Bus, code: &InstrStore, cap: u64, blocks: &[u64]) -> Fingerprint {
     let mut cpu = Cpu::new();
-    let mut bus = Bus::new(platform);
     cpu.set_pc(ORIGIN);
     cpu.set_sp(0x2400);
     let mut events = Vec::new();
@@ -350,7 +378,8 @@ proptest! {
     /// Block-partition invariance: slicing the same run into blocks of
     /// generated sizes — interleaved with the degenerate 1 and the awkward
     /// 7 — retires the identical trace as one maximal block, on every
-    /// platform.
+    /// platform.  Turning the attribute cache off changes nothing either,
+    /// with the MPU disarmed or armed.
     #[test]
     fn run_block_is_partition_invariant(
         program in program_strategy(),
@@ -360,8 +389,8 @@ proptest! {
         let mut blocks = vec![1, 7];
         blocks.extend(sizes);
         for platform in platforms() {
-            let whole = run(platform.clone(), &code, STEP_CAP, &[u64::MAX]);
-            let sliced = run(platform.clone(), &code, STEP_CAP, &blocks);
+            let whole = run(bus(&platform, true, false), &code, STEP_CAP, &[u64::MAX]);
+            let sliced = run(bus(&platform, true, false), &code, STEP_CAP, &blocks);
             let d = diff(&whole, &sliced);
             prop_assert!(
                 d.is_none(),
@@ -369,6 +398,21 @@ proptest! {
                 platform.name,
                 d.unwrap()
             );
+            for armed in [false, true] {
+                let cached = if armed {
+                    run(bus(&platform, true, true), &code, STEP_CAP, &[u64::MAX])
+                } else {
+                    whole.clone()
+                };
+                let direct = run(bus(&platform, false, armed), &code, STEP_CAP, &[u64::MAX]);
+                let d = diff(&cached, &direct);
+                prop_assert!(
+                    d.is_none(),
+                    "attribute cache off diverged on {} (MPU armed: {armed}): {}",
+                    platform.name,
+                    d.unwrap()
+                );
+            }
         }
     }
 }

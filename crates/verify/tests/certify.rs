@@ -6,7 +6,7 @@
 //! what a controlled probe actually does: `Escaped` (fr5994 MPU
 //! wild-write-peripheral/vector, fr5969 wild-write-vector, No Isolation
 //! wild-write-os-ram), `CaughtByMpu`, `CaughtBySoftware` or `Hung`.
-//! The static soundness criterion is the complement:
+//! The static soundness condition is the complement:
 //!
 //! * **benign** apps must never produce a proven-escape on any profile
 //!   (the gate the fleet build refuses on);
